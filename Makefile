@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race soak solver-soak solver-portfolio-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke clean
+.PHONY: build test vet race soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke clean
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,9 @@ test:
 # engine (worker pool, cache, persist hook, singleflight), the chaos
 # wrapper, the pipeline on top of them (kill-and-resume golden tests),
 # the serving layer (evaluator pool, prediction LRU, HTTP hammer), and
-# the SMT layer (portfolio members racing in lockstep rounds).
+# the SMT layer, whose cancellable, budgeted queries run inside those
+# pipelines. The SMT layer starts no goroutines of its own; racing it
+# is a cheap guard against shared state creeping in unnoticed.
 race:
 	$(GO) test -race -timeout 20m ./internal/engine/... ./internal/chaos/... ./internal/core/... ./internal/serve/... ./internal/shard/... ./internal/smt/...
 
@@ -56,14 +58,6 @@ soak:
 # to the fault-free golden run.
 solver-soak:
 	$(GO) test -race -timeout 20m -run 'TestChaosConsistentLie|TestPipelineBudget|TestPipelineRetryUnresolvedOnResume|TestSupervised|TestUnsatCore' -v ./internal/chaos/ ./internal/core/ ./internal/smt/
-
-# solver-portfolio-soak runs the portfolio CDCL determinism soak under
-# the race detector: the full chaos-injected pipeline with a 4-member
-# solver portfolio, swept across engine worker counts, must produce a
-# mapping byte-identical to the fault-free single-solver golden run —
-# K and GOMAXPROCS must never leak into the result.
-solver-portfolio-soak:
-	$(GO) test -race -timeout 20m -run 'TestPortfolioChaosSoak' -v ./internal/chaos/
 
 # shard-soak runs the distributed-campaign soak under the race
 # detector: a 3-shard campaign where one shard process is killed with

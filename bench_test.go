@@ -456,138 +456,6 @@ func BenchmarkSimExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioSolve measures the portfolio CDCL layer across
-// member counts K on a CEGAR solve sequence: FindMapping plus
-// FindOtherMapping refinement down to the final uniqueness proof. The
-// uniqueness proof (a forced-nil FindOtherMapping) is where scouts can
-// legally short-circuit the query, so it dominates the win; results
-// are byte-identical at every K (see TestPipelinePortfolioInvariance).
-func BenchmarkPortfolioSolve(b *testing.B) {
-	// Six-port ground truth with overlapping port sets, so the
-	// refinement genuinely iterates before the mapping is pinned.
-	truth := zenport.NewMapping(6)
-	truth.Set("add", zenport.Usage{{Ports: zenport.MakePortSet(0, 1, 2, 3), Count: 1}})
-	truth.Set("mul", zenport.Usage{{Ports: zenport.MakePortSet(0, 1), Count: 1}})
-	truth.Set("shl", zenport.Usage{{Ports: zenport.MakePortSet(2), Count: 1}})
-	truth.Set("div", zenport.Usage{{Ports: zenport.MakePortSet(3), Count: 1}})
-	truth.Set("ld", zenport.Usage{{Ports: zenport.MakePortSet(4, 5), Count: 1}})
-	truth.Set("st", zenport.Usage{{Ports: zenport.MakePortSet(4), Count: 1}})
-	specs := []zenport.UopSpec{
-		{Key: "add", NumPorts: 4}, {Key: "mul", NumPorts: 2},
-		{Key: "shl", NumPorts: 1}, {Key: "div", NumPorts: 1},
-		{Key: "ld", NumPorts: 2}, {Key: "st", NumPorts: 1},
-	}
-	seed := func() []zenport.MeasuredExp {
-		var exps []zenport.MeasuredExp
-		for _, sp := range specs {
-			ti, err := truth.InverseThroughputBounded(zenport.Exp(sp.Key), 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			exps = append(exps, zenport.MeasuredExp{Exp: zenport.Exp(sp.Key), TInv: ti})
-		}
-		return exps
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cegar/K=%d", k), func(b *testing.B) {
-			stats := &zenport.QueryStats{}
-			for i := 0; i < b.N; i++ {
-				in := &zenport.Instance{
-					NumPorts: 6, Rmax: 5, Epsilon: 0.02, Uops: specs,
-					Telemetry: stats,
-				}
-				if k >= 2 {
-					in.Portfolio = &zenport.PortfolioOptions{K: k}
-				}
-				exps := seed()
-				rounds := 0
-				for {
-					m1, err := in.FindMapping(exps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// maxTotal stays within Rmax so the theory's bounded
-					// evaluator agrees exactly with the truth measurement.
-					other, err := in.FindOtherMapping(exps, m1, 3, 5, 200)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rounds++
-					if other == nil {
-						break
-					}
-					tm, err := truth.InverseThroughputBounded(other.Exp, 5)
-					if err != nil {
-						b.Fatal(err)
-					}
-					exps = append(exps, zenport.MeasuredExp{Exp: other.Exp, TInv: tm})
-				}
-				b.ReportMetric(float64(rounds), "cegar-rounds")
-				b.ReportMetric(float64(len(exps)), "experiments")
-			}
-			if pf := stats.Portfolio; pf != nil && pf.Queries > 0 {
-				b.ReportMetric(float64(pf.ShortCircuits)/float64(b.N), "short-circuits")
-				b.ReportMetric(float64(pf.Wins[0])/float64(pf.Queries), "member0-win-rate")
-				b.ReportMetric(float64(pf.LemmasImported)/float64(b.N), "lemmas-imported")
-			}
-		})
-	}
-
-	// The uniqueness group isolates the query class where scouts are
-	// allowed to decide: a forced-nil FindOtherMapping over a dense
-	// mapping with unknown cardinalities. Member 0's default negative
-	// polarity proposes sparse port sets that all violate the dense
-	// measurements, while the positive-polarity scout walks straight to
-	// the models — with fine-grained rounds it proves exhaustion first
-	// and short-circuits (see member0-win-rate < 1 in the output).
-	denseTruth := zenport.NewMapping(6)
-	denseTruth.Set("a", zenport.Usage{{Ports: zenport.MakePortSet(0, 1, 2, 3, 4), Count: 1}})
-	denseTruth.Set("b", zenport.Usage{{Ports: zenport.MakePortSet(1, 2, 3, 4, 5), Count: 1}})
-	denseTruth.Set("c", zenport.Usage{{Ports: zenport.MakePortSet(0, 2, 3, 4, 5), Count: 1}})
-	denseTruth.Set("d", zenport.Usage{{Ports: zenport.MakePortSet(0, 1, 3, 4, 5), Count: 1}})
-	denseTruth.Set("e", zenport.Usage{{Ports: zenport.MakePortSet(0, 1, 2, 4, 5), Count: 1}})
-	denseSpecs := []zenport.UopSpec{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}, {Key: "e"}}
-	var denseExps []zenport.MeasuredExp
-	for _, sp := range denseSpecs {
-		ti, err := denseTruth.InverseThroughputBounded(zenport.Exp(sp.Key), 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		denseExps = append(denseExps, zenport.MeasuredExp{Exp: zenport.Exp(sp.Key), TInv: ti})
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("uniqueness/K=%d", k), func(b *testing.B) {
-			stats := &zenport.QueryStats{}
-			for i := 0; i < b.N; i++ {
-				in := &zenport.Instance{
-					NumPorts: 6, Rmax: 5, Epsilon: 0.02, Uops: denseSpecs,
-					Telemetry: stats,
-				}
-				if k >= 2 {
-					in.Portfolio = &zenport.PortfolioOptions{
-						K: k, RoundConflicts: 128, RoundIterations: 4,
-					}
-				}
-				m1, err := in.FindMapping(denseExps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				other, err := in.FindOtherMapping(denseExps, m1, 3, 5, 800)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if other != nil {
-					b.Fatal("uniqueness proof expected nil")
-				}
-			}
-			if pf := stats.Portfolio; pf != nil && pf.Queries > 0 {
-				b.ReportMetric(float64(pf.ShortCircuits)/float64(b.N), "short-circuits")
-				b.ReportMetric(float64(pf.Wins[0])/float64(pf.Queries), "member0-win-rate")
-			}
-		})
-	}
-}
-
 // BenchmarkEngineParallelSweep measures batch measurement throughput
 // of the engine at several worker-pool sizes against the sequential
 // baseline (workers=1). On multi-core hosts the simulated Execute

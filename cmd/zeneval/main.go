@@ -51,7 +51,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume an interrupted inference from its checkpoints (requires -cache-dir)")
 	fast := flag.Bool("fast", false, "smaller PMEvo budget")
 	solverBudget := flag.Uint64("solver-budget", 0, "max CDCL conflicts per solver query during inference (0 = unlimited)")
-	portfolio := flag.Int("portfolio", 0, "CDCL portfolio width K for inference SMT queries (0/1 = single solver; ignored with -solver-budget)")
 	maxSlack := flag.Float64("max-slack", 0, "max error-bound relaxation for UNSAT-core recovery during inference (0 = disabled)")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	flag.Parse()
@@ -80,7 +79,6 @@ func run() error {
 		opts.Log = func(f string, a ...any) { log.Printf(f, a...) }
 	}
 	opts.SolverBudget = zenport.SolverBudget{MaxConflicts: *solverBudget}
-	opts.Portfolio = *portfolio
 	opts.MaxSlack = *maxSlack
 	if *cacheDir != "" {
 		// Exclusive lock: a second process on the same cache directory

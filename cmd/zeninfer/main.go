@@ -87,7 +87,6 @@ func run() error {
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
 	qualitySpread := flag.Float64("quality-spread", 0, "adaptive repetition quality target, robust relative spread (0 = default 0.05)")
 	solverBudget := flag.Uint64("solver-budget", 0, "max CDCL conflicts per solver query; exhausted queries degrade to a partial mapping (0 = unlimited)")
-	portfolio := flag.Int("portfolio", 0, "CDCL portfolio width K: diversified solver members racing each SMT query with deterministic arbitration, byte-identical results at any K (0/1 = single solver; ignored with -solver-budget)")
 	maxSlack := flag.Float64("max-slack", 0, "max per-measurement error-bound relaxation for UNSAT-core recovery (0 = disabled)")
 	shards := flag.Int("shards", 0, "run as one shard of an N-shard campaign rooted at -cache-dir (requires -shard-id)")
 	shardID := flag.Int("shard-id", -1, "this process's shard id in [0,N) (with -shards)")
@@ -147,7 +146,6 @@ func run() error {
 			opts.Log = func(format string, args ...any) { log.Printf(format, args...) }
 		}
 		opts.SolverBudget = zenport.SolverBudget{MaxConflicts: *solverBudget}
-		opts.Portfolio = *portfolio
 		opts.MaxSlack = *maxSlack
 		return opts
 	}
@@ -450,16 +448,6 @@ func printSupervision(rep *zenport.Report) {
 		s.Solver.Solver.Propagations, s.Solver.Solver.Restarts)
 	if s.BudgetStops > 0 {
 		fmt.Printf("budget: %d quer(ies) stopped at the solver budget; results degraded, not aborted\n", s.BudgetStops)
-	}
-	if p := s.Solver.Portfolio; p != nil {
-		fmt.Printf("portfolio: %d queries over %d lockstep rounds, %d short-circuited by a scout's UNSAT\n",
-			p.Queries, p.Rounds, p.ShortCircuits)
-		fmt.Printf("portfolio: lemma exchange published %d, imported %d\n", p.LemmasPublished, p.LemmasImported)
-		for i, w := range p.Wins {
-			if w > 0 {
-				fmt.Printf("portfolio: member %d decided %d quer(ies)\n", i, w)
-			}
-		}
 	}
 	for _, c := range s.Cores {
 		fmt.Printf("inconsistency core (minimal conflicting experiment set): %v\n", c)

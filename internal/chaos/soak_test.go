@@ -158,46 +158,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestPortfolioChaosSoak: the pipeline under the chaos regime WITH a
-// width-4 solver portfolio must still produce the fault-free,
-// single-solver golden mapping byte-for-byte at every worker count —
-// fault recovery and parallel portfolio solving composed, with
-// neither allowed to leak into the artifact. Run under -race this is
-// the portfolio soak CI gate (make solver-portfolio-soak).
-func TestPortfolioChaosSoak(t *testing.T) {
-	golden := soakGolden(t)
-	workerSweep := []int{1, 4, 16}
-	if raceEnabled {
-		workerSweep = []int{4}
-	}
-	for _, workers := range workerSweep {
-		opts := core.DefaultOptions()
-		opts.Portfolio = 4
-		var cp *chaos.Processor
-		p := newSoakPipeline(t, workers, func(inner engine.Processor) engine.Processor {
-			cp = chaos.New(inner, soakChaosSeed, soakRegime())
-			return cp
-		}, opts)
-		rep, err := p.Run()
-		if err != nil {
-			t.Fatalf("workers=%d: portfolio pipeline under chaos failed: %v", workers, err)
-		}
-		data, err := json.MarshalIndent(rep.Final, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != string(golden) {
-			t.Fatalf("workers=%d: portfolio-4 mapping under chaos differs from single-solver fault-free golden", workers)
-		}
-		if rep.Supervision == nil || rep.Supervision.Solver.Portfolio == nil || rep.Supervision.Solver.Portfolio.Queries == 0 {
-			t.Fatalf("workers=%d: no portfolio telemetry in the chaos run", workers)
-		}
-		if l := cp.Ledger(); l.Rounds == 0 || l.Transients == 0 {
-			t.Fatalf("workers=%d: fault injection never fired: %v", workers, l)
-		}
-	}
-}
-
 // errCrashed simulates a process kill mid-soak.
 var errCrashed = errors.New("simulated crash")
 

@@ -236,14 +236,6 @@ type Options struct {
 	// exhaustion the stage degrades — last consistent mapping, schemes
 	// flagged Unresolved — instead of aborting.
 	SolverBudget sat.Budget
-	// Portfolio is the CDCL portfolio width K for stage-3 SMT queries:
-	// K diversified solver members race each query in deterministic
-	// lockstep rounds, exchanging learned theory lemmas, with results
-	// byte-identical to K=1 at any K and any GOMAXPROCS. Values below
-	// 2 keep the single-solver path. A finite SolverBudget disables
-	// the portfolio per query (a scout finishing before the canonical
-	// member exhausts the budget would make the outcome K-dependent).
-	Portfolio int
 	// MaxSlack enables UNSAT-core inconsistency recovery in stage 3:
 	// when the experiment set is infeasible, the minimal conflicting
 	// core is extracted and its least-trustworthy measurement is

@@ -376,55 +376,6 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestPipelinePortfolioInvariance is the portfolio tentpole's golden
-// test: the complete pipeline over the blocking subset — including
-// the §4.3 anomaly UNSATs and culprit isolation — must produce a
-// byte-identical final mapping JSON at every portfolio width K and at
-// every measurement worker count. Solving is parallel; the artifact
-// is not allowed to know.
-func TestPipelinePortfolioInvariance(t *testing.T) {
-	db := zen.Build()
-	var golden []byte
-	// One golden K=0 run, then the K sweep at fixed workers and the
-	// worker sweep at fixed K — both axes covered without the full
-	// cross product (each cell is a complete pipeline run).
-	sweep := []struct{ k, workers int }{
-		{0, 4}, {2, 4}, {4, 1}, {4, 16}, {8, 4},
-	}
-	if raceEnabled {
-		sweep = []struct{ k, workers int }{{0, 4}, {4, 4}}
-	}
-	for _, c := range sweep {
-		p, _ := newZenPipeline(t, blockingSubset(db), 42)
-		p.Opts.Portfolio = c.k
-		p.H.Workers = c.workers
-		rep, err := p.RunContext(context.Background())
-		if err != nil {
-			t.Fatalf("K=%d workers=%d: %v", c.k, c.workers, err)
-		}
-		data, err := json.MarshalIndent(rep.Final, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if golden == nil {
-			golden = data
-			if rep.Supported() == 0 {
-				t.Fatal("golden run characterized nothing")
-			}
-			continue
-		}
-		if string(data) != string(golden) {
-			t.Fatalf("mapping JSON differs between K=0 and K=%d (workers=%d)", c.k, c.workers)
-		}
-		if c.k >= 2 {
-			s := rep.Supervision
-			if s == nil || s.Solver.Portfolio == nil || s.Solver.Portfolio.Queries == 0 {
-				t.Fatalf("K=%d: no portfolio telemetry in the report", c.k)
-			}
-		}
-	}
-}
-
 // TestPipelineCancellation: a cancelled context aborts the pipeline
 // promptly with an error wrapping context.Canceled.
 func TestPipelineCancellation(t *testing.T) {

@@ -234,9 +234,6 @@ func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 		Rmax:     p.H.P.Rmax(),
 		Epsilon:  p.Opts.Epsilon,
 	}
-	if p.Opts.Portfolio >= 2 {
-		inst.Portfolio = &smt.PortfolioOptions{K: p.Opts.Portfolio}
-	}
 	for i := range rep.Classes {
 		cls := &rep.Classes[i]
 		inst.Uops = append(inst.Uops, smt.UopSpec{Key: cls.Rep, NumPorts: cls.PortCount})
@@ -452,7 +449,7 @@ func instPortCount(inst *smt.Instance, key string) int {
 // subInstance restricts an instance to the given keys, dropping tie
 // constraints (a relaxation, so UNSAT sub-problems are genuine).
 func subInstance(inst *smt.Instance, keys map[string]bool) *smt.Instance {
-	out := &smt.Instance{NumPorts: inst.NumPorts, Rmax: inst.Rmax, Epsilon: inst.Epsilon, Telemetry: inst.Telemetry, Portfolio: inst.Portfolio}
+	out := &smt.Instance{NumPorts: inst.NumPorts, Rmax: inst.Rmax, Epsilon: inst.Epsilon, Telemetry: inst.Telemetry}
 	for _, u := range inst.Uops {
 		if keys[u.Key] {
 			u.TiedToBlocker = false

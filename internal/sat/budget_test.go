@@ -270,3 +270,42 @@ func TestBudgetErrorMessage(t *testing.T) {
 		t.Fatal("deadline BudgetError has empty message")
 	}
 }
+
+func TestSteppedSolveMatchesUninterrupted(t *testing.T) {
+	// A query resumed after budget exhaustion must neither repeat nor
+	// skip search. Because budget stops land only on Luby restart
+	// boundaries and a resumed call continues the restart schedule, a
+	// search chopped into many small budgeted steps must visit exactly
+	// the same conflicts as one uninterrupted call: same answer, same
+	// final counters.
+	ref := buildPHP(t, 8, 7)
+	if r := ref.Solve(); r != Unsat {
+		t.Fatalf("reference Solve = %v, want Unsat", r)
+	}
+	refStats := ref.StatsSnapshot()
+
+	stepped := buildPHP(t, 8, 7)
+	b := &Budget{}
+	var r Result
+	var err error
+	for steps := 0; ; steps++ {
+		if steps > 100000 {
+			t.Fatal("stepped solve did not terminate")
+		}
+		b.MaxConflicts += 50
+		r, err = stepped.SolveBudget(context.Background(), b)
+		if errors.Is(err, ErrBudgetExhausted) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("SolveBudget error: %v", err)
+		}
+		break
+	}
+	if r != Unsat {
+		t.Fatalf("stepped Solve = %v, want Unsat", r)
+	}
+	if got := stepped.StatsSnapshot(); got != refStats {
+		t.Fatalf("stepped trajectory diverged from uninterrupted:\n got %+v\nwant %+v", got, refStats)
+	}
+}

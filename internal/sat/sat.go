@@ -112,13 +112,6 @@ type Solver struct {
 	varInc   float64
 	polarity []bool // phase saving
 
-	// Diversification knobs (see Config). The zero values are
-	// normalized to the classic defaults by NewSolver/NewSolverConfig.
-	lubyUnit    int     // conflicts per Luby unit between restarts
-	decayFactor float64 // VSIDS decay divisor
-	posPolarity bool    // initial phase for fresh variables
-	rng         uint64  // splitmix64 state for activity jitter; 0 = off
-
 	// lubySeq is the next Luby restart index when the previous
 	// SolveBudget call was interrupted (budget/ctx) mid-search, so a
 	// resumed call continues the restart schedule instead of starting
@@ -146,76 +139,27 @@ type Solver struct {
 	rootUnsat bool
 }
 
-// Config selects the search heuristics of a solver. The zero value
-// reproduces the classic defaults exactly (NewSolver() ==
-// NewSolverConfig(Config{})), so diversified portfolio members can be
-// described as deltas from one canonical baseline.
-type Config struct {
-	// Seed, when non-zero, salts every fresh variable's initial VSIDS
-	// activity with a tiny deterministic jitter (splitmix64 stream),
-	// diversifying branch-variable tie-breaks without materially
-	// changing activity dynamics. Zero disables jitter: fresh
-	// variables start at activity 0 and ties break by lowest index.
-	Seed uint64
-	// LubyUnit is the conflict count multiplied by the Luby sequence
-	// to budget each restart. <= 0 means the default 64.
-	LubyUnit int
-	// PosPolarity makes fresh variables branch positive-first.
-	// Default (false) branches negative-first.
-	PosPolarity bool
-	// Decay is the VSIDS activity decay divisor in (0, 1).
-	// Out-of-range means the default 0.95.
-	Decay float64
-}
+// Search heuristics: every restart is budgeted lubyUnit times the
+// next Luby number of conflicts, VSIDS activities decay by varDecay
+// per conflict, and fresh variables branch negative-first.
+const (
+	lubyUnit = 64
+	varDecay = 0.95
+)
 
-// NewSolver creates a solver with no variables and default heuristics.
+// NewSolver creates a solver with no variables.
 func NewSolver() *Solver {
-	return NewSolverConfig(Config{})
-}
-
-// NewSolverConfig creates a solver with no variables and the given
-// heuristic configuration.
-func NewSolverConfig(cfg Config) *Solver {
-	if cfg.LubyUnit <= 0 {
-		cfg.LubyUnit = 64
-	}
-	if cfg.Decay <= 0 || cfg.Decay >= 1 {
-		cfg.Decay = 0.95
-	}
-	return &Solver{
-		varInc:      1,
-		watches:     make([][]*clause, 2),
-		lubyUnit:    cfg.LubyUnit,
-		decayFactor: cfg.Decay,
-		posPolarity: cfg.PosPolarity,
-		rng:         cfg.Seed,
-	}
-}
-
-// splitmix64 advances *state and returns the next value of the
-// splitmix64 stream: a tiny, high-quality deterministic generator.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &Solver{varInc: 1, watches: make([][]*clause, 2)}
 }
 
 // NewVar adds a fresh variable and returns its index (>= 1).
 func (s *Solver) NewVar() int {
 	s.numVars++
-	act := 0.0
-	if s.rng != 0 {
-		// Jitter in [0, 1e-3): far below the first bump (varInc
-		// starts at 1), so it only perturbs tie-breaks.
-		act = float64(splitmix64(&s.rng)>>11) / float64(1<<53) * 1e-3
-	}
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, act)
-	s.polarity = append(s.polarity, s.posPolarity)
+	s.activity = append(s.activity, 0)
+	s.polarity = append(s.polarity, false)
 	s.watches = append(s.watches, nil, nil)
 	return s.numVars
 }
@@ -455,7 +399,7 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) decayVar() { s.varInc /= s.decayFactor }
+func (s *Solver) decayVar() { s.varInc /= varDecay }
 
 // pickBranchVar selects the unassigned variable with highest activity.
 func (s *Solver) pickBranchVar() int {
@@ -515,9 +459,8 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 // A resumed call continues the Luby restart schedule where the
 // interrupted one left off, so chopping one search into many budgeted
 // steps visits exactly the same conflicts in the same order as a
-// single uninterrupted call. The portfolio layer in package smt
-// depends on this to keep its round-stepped canonical member
-// byte-identical to the plain single-solver path.
+// single uninterrupted call: a search resumed after budget exhaustion
+// repeats no work and skips none.
 //
 // On Unsat under assumptions, FailedAssumptions reports the
 // final-conflict core.
@@ -563,7 +506,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 	if restartNum < 1 {
 		restartNum = 1
 	}
-	conflictBudget := s.lubyUnit * luby(restartNum)
+	conflictBudget := lubyUnit * luby(restartNum)
 	conflictsHere := 0
 
 	for {
@@ -601,7 +544,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 			// stop at a Luby-aligned state.
 			s.restarts++
 			restartNum++
-			conflictBudget = s.lubyUnit * luby(restartNum)
+			conflictBudget = lubyUnit * luby(restartNum)
 			conflictsHere = 0
 			s.backtrackTo(0)
 			if err := supervise(); err != nil {

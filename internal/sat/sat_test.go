@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -444,5 +445,62 @@ func TestStatsAdvance(t *testing.T) {
 	p, _, _ := s.Stats()
 	if p == 0 {
 		t.Fatal("no propagations recorded")
+	}
+}
+
+// lubyRef is the textbook recursive definition, used as the oracle for
+// the iterative implementation. Only valid for small i (it recurses).
+func lubyRef(i int) int {
+	for k := 1; ; k++ {
+		if i == (1<<uint(k))-1 {
+			return 1 << uint(k-1)
+		}
+		if i < (1<<uint(k))-1 {
+			return lubyRef(i - (1 << uint(k-1)) + 1)
+		}
+	}
+}
+
+func TestLubyTable(t *testing.T) {
+	// The canonical prefix, straight from Luby, Sinclair & Zuckerman.
+	want := []int{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
+	for i, w := range want {
+		if got := luby(i + 1); got != w {
+			t.Fatalf("luby(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+	for i := 1; i <= 64; i++ {
+		if got, ref := luby(i), lubyRef(i); got != ref {
+			t.Fatalf("luby(%d) = %d, reference = %d", i, got, ref)
+		}
+	}
+}
+
+func TestLubyLargeIndex(t *testing.T) {
+	// A search resumed after budget exhaustion continues its restart
+	// schedule (lubySeq), so the index grows over the whole stepped
+	// search, not one call. Ends of complete subsequences: luby(2^k - 1) = 2^(k-1). The old
+	// recursive implementation overflowed its shift bookkeeping (and
+	// blew the stack) long before these indices.
+	for k := uint(1); k <= 62; k++ {
+		i := (1 << k) - 1
+		if got, want := luby(i), 1<<(k-1); got != want {
+			t.Fatalf("luby(2^%d-1) = %d, want %d", k, got, want)
+		}
+	}
+	// Arbitrary huge indices must terminate and return a power of two
+	// bounded by the enclosing subsequence.
+	for _, i := range []int{1 << 40, (1 << 40) + 12345, math.MaxInt64, math.MaxInt64 - 7} {
+		got := luby(i)
+		if got < 1 || got&(got-1) != 0 {
+			t.Fatalf("luby(%d) = %d, want a positive power of two", i, got)
+		}
+	}
+	if got := luby(math.MaxInt64); got != 1<<62 {
+		t.Fatalf("luby(MaxInt64) = %d, want 2^62", got)
+	}
+	// Defensive clamp for nonsensical indices.
+	if got := luby(0); got != 1 {
+		t.Fatalf("luby(0) = %d, want 1", got)
 	}
 }

@@ -46,13 +46,9 @@ type Core struct {
 // (nil, nil).
 func (in *Instance) UnsatCore(ctx context.Context, exps []MeasuredExp, budget *sat.Budget) (*Core, error) {
 	// Stage 0: confirm infeasibility on a lemma-free clone, keeping
-	// the lemmas it learns for the selector pass. The internal
-	// single-solver path is used deliberately: the selector pass needs
-	// the canonical lemma trail, and spinning up portfolio scouts that
-	// cannot decide the query anyway (FindMapping is always resolved
-	// by member 0) would be pure overhead here.
+	// the lemmas it learns for the selector pass.
 	probe := in.Clone()
-	if _, err := probe.findMappingSingle(ctx, exps, budget); err == nil {
+	if _, err := probe.FindMappingBudget(ctx, exps, budget); err == nil {
 		return nil, nil
 	} else if !errors.Is(err, ErrNoMapping) {
 		return nil, err

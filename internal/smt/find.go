@@ -33,9 +33,6 @@ type QueryStats struct {
 	BudgetExhausted uint64 `json:"budget_exhausted,omitempty"`
 	// Solver totals the CDCL counters of every query's SAT solver.
 	Solver sat.Stats `json:"solver"`
-	// Portfolio holds portfolio-specific counters; nil when every
-	// query ran the single-solver path.
-	Portfolio *PortfolioStats `json:"portfolio,omitempty"`
 }
 
 // Add folds another accumulator into this one.
@@ -49,12 +46,6 @@ func (q *QueryStats) Add(o QueryStats) {
 	q.Solver.Decisions += o.Solver.Decisions
 	q.Solver.Restarts += o.Solver.Restarts
 	q.Solver.Learned += o.Solver.Learned
-	if o.Portfolio != nil {
-		if q.Portfolio == nil {
-			q.Portfolio = &PortfolioStats{}
-		}
-		q.Portfolio.Add(*o.Portfolio)
-	}
 }
 
 // noteQuery folds one finished query's solver counters into the
@@ -101,24 +92,11 @@ func (in *Instance) FindMappingContext(ctx context.Context, exps []MeasuredExp) 
 // sat.ErrBudgetExhausted instead of spinning; nil budget means
 // unlimited.
 //
-// When Instance.Portfolio requests K >= 2 members and no budget is
-// given, the query runs as a deterministic parallel portfolio (see
-// portfolio.go). The lemma trail left in the store — on success AND
-// on ErrNoMapping — is byte-identical to the single-solver path's at
-// any K: anomaly isolation warm-starts the post-exclusion queries
-// from the failed query's lemmas (via Without), so UNSAT retention is
-// part of the deterministic contract, not an accident.
+// It leaves every learned lemma in the store regardless of outcome:
+// anomaly isolation warm-starts the post-exclusion queries from the
+// failed query's lemmas (via Without), so keeping the trail on
+// ErrNoMapping is part of the contract, not an accident.
 func (in *Instance) FindMappingBudget(ctx context.Context, exps []MeasuredExp, budget *sat.Budget) (*portmodel.Mapping, error) {
-	if in.portfolioOn(budget) {
-		return in.findMappingPortfolio(ctx, exps)
-	}
-	return in.findMappingSingle(ctx, exps, budget)
-}
-
-// findMappingSingle is the single-solver refinement loop. It leaves
-// every learned lemma in the store regardless of outcome — the trail
-// of a failed query seeds the warm start of anomaly isolation.
-func (in *Instance) findMappingSingle(ctx context.Context, exps []MeasuredExp, budget *sat.Budget) (*portmodel.Mapping, error) {
 	enc, err := in.encode(true)
 	if err != nil {
 		return nil, err
@@ -239,31 +217,24 @@ func (in *Instance) FindOtherMappingContext(ctx context.Context, exps []Measured
 // unlimited); exhaustion surfaces as an error matching
 // sat.ErrBudgetExhausted.
 //
-// Like FindMappingBudget it dispatches to the deterministic portfolio
-// when Instance.Portfolio requests K >= 2 members and no budget is
-// given. Unlike FindMappingBudget it is transactional over the lemma
-// store: any outcome without a found OtherMapping rolls the store
-// back to its pre-query state. A nil result ends its CEGAR loop (the
-// mapping is unique within bounds), so nothing downstream warm-starts
-// from its trail — and a trail-free nil is what lets a portfolio
-// scout's UNSAT short-circuit the query K-invariantly.
+// Unlike FindMappingBudget it is transactional over the lemma store:
+// any outcome without a found OtherMapping rolls the store back to
+// its pre-query state. A nil result ends its CEGAR loop (the mapping
+// is unique within bounds), so nothing downstream warm-starts from
+// its trail. Stage-3 checkpoints serialise the store, so the rollback
+// is part of their bytes too.
 func (in *Instance) FindOtherMappingBudget(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int, budget *sat.Budget) (*OtherMapping, error) {
 	mark := len(in.lemmas)
-	var om *OtherMapping
-	var err error
-	if in.portfolioOn(budget) {
-		om, err = in.findOtherMappingPortfolio(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates)
-	} else {
-		om, err = in.findOtherMappingSingle(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates, budget)
-	}
+	om, err := in.findOtherMapping(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates, budget)
 	if om == nil {
 		in.lemmas = in.lemmas[:mark]
 	}
 	return om, err
 }
 
-// findOtherMappingSingle is the single-solver enumeration loop.
-func (in *Instance) findOtherMappingSingle(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int, budget *sat.Budget) (*OtherMapping, error) {
+// findOtherMapping is the enumeration loop behind
+// FindOtherMappingBudget, which owns the lemma-store rollback.
+func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int, budget *sat.Budget) (*OtherMapping, error) {
 	enc, err := in.encode(true)
 	if err != nil {
 		return nil, err
@@ -536,7 +507,7 @@ func (in *Instance) Reset() { in.lemmas = nil }
 // telemetry accumulator is shared, so sub-solves on the clone count
 // toward the same query statistics.
 func (in *Instance) Clone() *Instance {
-	out := &Instance{NumPorts: in.NumPorts, Rmax: in.Rmax, Epsilon: in.Epsilon, Telemetry: in.Telemetry, Portfolio: in.Portfolio}
+	out := &Instance{NumPorts: in.NumPorts, Rmax: in.Rmax, Epsilon: in.Epsilon, Telemetry: in.Telemetry}
 	out.Uops = append([]UopSpec(nil), in.Uops...)
 	return out
 }
@@ -547,7 +518,7 @@ func (in *Instance) Clone() *Instance {
 // (their µop indices are remapped), so repeated sub-problem solves
 // stay cheap.
 func (in *Instance) Without(keys map[string]bool) *Instance {
-	out := &Instance{NumPorts: in.NumPorts, Rmax: in.Rmax, Epsilon: in.Epsilon, Telemetry: in.Telemetry, Portfolio: in.Portfolio}
+	out := &Instance{NumPorts: in.NumPorts, Rmax: in.Rmax, Epsilon: in.Epsilon, Telemetry: in.Telemetry}
 	remap := make([]int, len(in.Uops))
 	for i, u := range in.Uops {
 		if keys[u.Key] {

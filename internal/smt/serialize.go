@@ -82,35 +82,3 @@ func (in *Instance) RestoreLemmas(recs []LemmaRecord) error {
 	in.lemmas = restored
 	return nil
 }
-
-// ImportLemmaRecords validates the records and appends those not
-// already present to the instance's lemma store, deduplicating by
-// exact clause, source experiment, and slack. K portfolio members (or
-// repeated checkpoint merges) learning the same lemma therefore never
-// multiply stored clauses or serialized LemmaRecords. It returns the
-// number of lemmas actually added; on error the store is unchanged.
-func (in *Instance) ImportLemmaRecords(recs []LemmaRecord) (int, error) {
-	incoming := make([]lemma, 0, len(recs))
-	for i, rec := range recs {
-		lem, err := in.lemmaFromRecord(i, rec)
-		if err != nil {
-			return 0, err
-		}
-		incoming = append(incoming, lem)
-	}
-	seen := make(map[string]bool, len(in.lemmas))
-	for _, lem := range in.lemmas {
-		seen[lemmaKey(lem)] = true
-	}
-	added := 0
-	for _, lem := range incoming {
-		k := lemmaKey(lem)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		in.lemmas = append(in.lemmas, lem)
-		added++
-	}
-	return added, nil
-}

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,51 +93,78 @@ func TestLemmaRecordsAreCopies(t *testing.T) {
 	}
 }
 
-// TestRestoreLemmasRejectsCorrupt: out-of-range indices or empty
-// clauses from a damaged checkpoint must fail validation instead of
-// corrupting (or crashing) the next solve.
+// validLemmaRecord is a well-formed record for the toy instance.
+var validLemmaRecord = LemmaRecord{
+	Lits: []LemmaLitRecord{{Uop: 0, Port: 1}},
+	Src:  portmodel.Exp("iA"),
+}
+
+// corruptLemmaCases are damaged checkpoint lemma sets for the toy
+// instance, each with a fragment its validation error must mention.
+var corruptLemmaCases = []struct {
+	name    string
+	recs    []LemmaRecord
+	wantErr string
+}{
+	{
+		name:    "empty clause",
+		recs:    []LemmaRecord{{Src: portmodel.Exp("iA")}},
+		wantErr: "empty clause",
+	},
+	{
+		name:    "uop index negative",
+		recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: -1, Port: 0}}, Src: portmodel.Exp("iA")}},
+		wantErr: "µop index -1 out of range",
+	},
+	{
+		name:    "uop index too large",
+		recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 5, Port: 0}}, Src: portmodel.Exp("iA")}},
+		wantErr: "µop index 5 out of range",
+	},
+	{
+		name:    "port negative",
+		recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 0, Port: -2}}, Src: portmodel.Exp("iA")}},
+		wantErr: "port -2 out of range",
+	},
+	{
+		name:    "port too large",
+		recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 0, Port: 2}}, Src: portmodel.Exp("iA")}},
+		wantErr: "port 2 out of range",
+	},
+	{
+		name:    "slack NaN",
+		recs:    []LemmaRecord{{Lits: validLemmaRecord.Lits, Src: portmodel.Exp("iA"), Slack: math.NaN()}},
+		wantErr: "invalid slack NaN",
+	},
+	{
+		name:    "slack +Inf",
+		recs:    []LemmaRecord{{Lits: validLemmaRecord.Lits, Src: portmodel.Exp("iA"), Slack: math.Inf(1)}},
+		wantErr: "invalid slack +Inf",
+	},
+	{
+		name:    "slack -Inf",
+		recs:    []LemmaRecord{{Lits: validLemmaRecord.Lits, Src: portmodel.Exp("iA"), Slack: math.Inf(-1)}},
+		wantErr: "invalid slack -Inf",
+	},
+	{
+		name:    "slack negative",
+		recs:    []LemmaRecord{{Lits: validLemmaRecord.Lits, Src: portmodel.Exp("iA"), Slack: -0.5}},
+		wantErr: "invalid slack -0.5",
+	},
+	{
+		name:    "bad record after valid one",
+		recs:    []LemmaRecord{validLemmaRecord, {Lits: []LemmaLitRecord{{Uop: 0, Port: 99}}, Src: portmodel.Exp("iA")}},
+		wantErr: "lemma 1",
+	},
+}
+
+// TestRestoreLemmasRejectsCorrupt: out-of-range indices, empty
+// clauses or unusable slack from a damaged checkpoint must fail
+// validation instead of corrupting (or crashing) the next solve, and
+// must leave the lemma store as it was: empty on a fresh instance,
+// untouched on one that already learned lemmas.
 func TestRestoreLemmasRejectsCorrupt(t *testing.T) {
-	valid := LemmaRecord{
-		Lits: []LemmaLitRecord{{Uop: 0, Port: 1}},
-		Src:  portmodel.Exp("iA"),
-	}
-	cases := []struct {
-		name    string
-		recs    []LemmaRecord
-		wantErr string
-	}{
-		{
-			name:    "empty clause",
-			recs:    []LemmaRecord{{Src: portmodel.Exp("iA")}},
-			wantErr: "empty clause",
-		},
-		{
-			name:    "uop index negative",
-			recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: -1, Port: 0}}, Src: portmodel.Exp("iA")}},
-			wantErr: "µop index -1 out of range",
-		},
-		{
-			name:    "uop index too large",
-			recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 5, Port: 0}}, Src: portmodel.Exp("iA")}},
-			wantErr: "µop index 5 out of range",
-		},
-		{
-			name:    "port negative",
-			recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 0, Port: -2}}, Src: portmodel.Exp("iA")}},
-			wantErr: "port -2 out of range",
-		},
-		{
-			name:    "port too large",
-			recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 0, Port: 2}}, Src: portmodel.Exp("iA")}},
-			wantErr: "port 2 out of range",
-		},
-		{
-			name:    "bad record after valid one",
-			recs:    []LemmaRecord{valid, {Lits: []LemmaLitRecord{{Uop: 0, Port: 99}}, Src: portmodel.Exp("iA")}},
-			wantErr: "lemma 1",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptLemmaCases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -154,6 +182,69 @@ func TestRestoreLemmasRejectsCorrupt(t *testing.T) {
 			if in.LemmaCount() != 0 {
 				t.Errorf("failed restore left %d lemmas behind", in.LemmaCount())
 			}
+
+			learned, _ := learnedToyInstance(t)
+			want := learned.LemmaRecords()
+			if err := learned.RestoreLemmas(tc.recs); err == nil {
+				t.Fatal("corrupt lemma records accepted over learned lemmas")
+			}
+			if got := learned.LemmaRecords(); !reflect.DeepEqual(got, want) {
+				t.Errorf("failed restore changed the learned lemmas:\n got %+v\nwant %+v", got, want)
+			}
 		})
 	}
+}
+
+// sameLemmaRecords compares record lists, treating a nil and an empty
+// source experiment as equal (both decode from a checkpoint as "no
+// instructions").
+func sameLemmaRecords(a, b []LemmaRecord) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i].Lits, b[i].Lits) || a[i].Slack != b[i].Slack || len(a[i].Src) != len(b[i].Src) {
+			return false
+		}
+		for k, n := range a[i].Src {
+			if m, ok := b[i].Src[k]; !ok || m != n {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzRestoreLemmas feeds arbitrary checkpoint bytes through the lemma
+// decoder. Restoring must never panic; an accepted record set must
+// export back unchanged and leave the instance solvable (a mapping or
+// an error, never a crash).
+func FuzzRestoreLemmas(f *testing.F) {
+	seeds := [][]LemmaRecord{{validLemmaRecord}}
+	for _, tc := range corruptLemmaCases {
+		seeds = append(seeds, tc.recs)
+	}
+	for _, recs := range seeds {
+		data, err := json.Marshal(recs)
+		if err != nil {
+			continue // NaN and ±Inf slack have no JSON form
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []LemmaRecord
+		if err := json.Unmarshal(data, &recs); err != nil {
+			return
+		}
+		in := toyInstance()
+		if err := in.RestoreLemmas(recs); err != nil {
+			return
+		}
+		if got := in.LemmaRecords(); !sameLemmaRecords(got, recs) {
+			t.Fatalf("restored records do not round-trip:\n got %+v\nwant %+v", got, recs)
+		}
+		if m, err := in.FindMapping(toyExps()); err == nil && m == nil {
+			t.Fatal("FindMapping returned neither a mapping nor an error")
+		}
+	})
 }

@@ -75,13 +75,6 @@ type Instance struct {
 	// solves derived via Clone/Without, which share the pointer). Not
 	// safe for concurrent queries.
 	Telemetry *QueryStats
-
-	// Portfolio, if non-nil with K >= 2, runs every unbudgeted
-	// FindMapping/FindOtherMapping query as a deterministic parallel
-	// portfolio of diversified CDCL members (see portfolio.go). The
-	// pointer is shared by Clone/Without sub-instances, so culprit
-	// isolation and core probes inherit the portfolio.
-	Portfolio *PortfolioOptions
 }
 
 // MeasuredExp is an experiment with its measured inverse throughput.
@@ -168,14 +161,7 @@ func (in *Instance) encode(breakSymmetry bool) (*encoding, error) {
 // source experiment's selector variable, so it needs the bare boolean
 // structure.
 func (in *Instance) encodeWith(breakSymmetry, withLemmas bool) (*encoding, error) {
-	return in.encodeCfg(breakSymmetry, withLemmas, sat.Config{})
-}
-
-// encodeCfg is encodeWith with an explicit solver configuration, used
-// by the portfolio layer to build diversified members over the same
-// boolean structure. The zero Config is the canonical baseline.
-func (in *Instance) encodeCfg(breakSymmetry, withLemmas bool, cfg sat.Config) (*encoding, error) {
-	s := sat.NewSolverConfig(cfg)
+	s := sat.NewSolver()
 	nu, np := len(in.Uops), in.NumPorts
 	enc := &encoding{s: s, mvar: make([][]int, nu)}
 	for u := 0; u < nu; u++ {

@@ -358,3 +358,46 @@ func TestDistinguishUnmemoizedAgreesWithPre(t *testing.T) {
 		t.Fatalf("identical mappings distinguished by %v", e3)
 	}
 }
+
+// TestFindOtherMappingNilRollsBack: the nil FindOtherMapping that ends
+// a CEGAR loop (the uniqueness proof) must leave the lemma store as it
+// found it, even though its enumeration learns lemmas on the way.
+// Stage-3 checkpoints serialise the store, so a trail left behind by
+// the last query would change them.
+func TestFindOtherMappingNilRollsBack(t *testing.T) {
+	// The distinct-ports truth: its uniqueness proof learns a lemma,
+	// so the rollback has something to undo.
+	truth := portmodel.NewMapping(2)
+	truth.Set("iA", portmodel.Usage{{Ports: portmodel.MakePortSet(0), Count: 1}})
+	truth.Set("iB", portmodel.Usage{{Ports: portmodel.MakePortSet(1), Count: 1}})
+
+	in := toyInstance()
+	in.Telemetry = &QueryStats{}
+	exps := toyExps()
+	for iter := 0; iter < 20; iter++ {
+		m1, err := in.FindMapping(exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, learned := in.LemmaCount(), in.Telemetry.LemmasLearned
+		other, err := in.FindOtherMapping(exps, m1, 2, 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other == nil {
+			if in.Telemetry.LemmasLearned == learned {
+				t.Fatal("the uniqueness proof learned no lemma; the rollback went unexercised")
+			}
+			if got := in.LemmaCount(); got != before {
+				t.Fatalf("nil FindOtherMapping changed the lemma store: %d -> %d", before, got)
+			}
+			return
+		}
+		tm, err := truth.InverseThroughput(other.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, MeasuredExp{Exp: other.Exp, TInv: tm})
+	}
+	t.Fatal("CEGAR did not converge")
+}

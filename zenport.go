@@ -123,13 +123,6 @@ type (
 	// QueryStats aggregates solver telemetry across the theory-solver
 	// queries of a pipeline run or Instance.
 	QueryStats = smt.QueryStats
-	// PortfolioOptions configures deterministic parallel portfolio
-	// solving on an Instance (Options.Portfolio wires it for
-	// pipeline runs).
-	PortfolioOptions = smt.PortfolioOptions
-	// PortfolioStats is the portfolio slice of QueryStats: rounds,
-	// per-member wins, short-circuits, and lemma-exchange counters.
-	PortfolioStats = smt.PortfolioStats
 	// Relaxation records one error-bound relaxation performed by
 	// UNSAT-core recovery on an inconsistent measurement.
 	Relaxation = smt.Relaxation
