@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke clean
+.PHONY: build test vet race soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,16 @@ bench:
 # benchmarks keep working, without measuring anything.
 bench-smoke:
 	$(GO) test -run 'TestNothing' -bench=. -benchmem -benchtime=1x .
+
+# fuzz-smoke runs every fuzz target for 20 s each: the compiled
+# throughput evaluator against the reference, checkpoint lemma
+# restoring, and the CDCL solver against brute-force enumeration. Go
+# fuzzes one target of one package per run. A failing input is written
+# under the package's testdata/fuzz directory.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLemmas$$' -fuzztime 20s ./internal/smt/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveAgainstBruteForce$$' -fuzztime 20s ./internal/sat/
 
 clean:
 	$(GO) clean ./...

@@ -8,6 +8,7 @@ package zenport_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"zenport"
@@ -388,39 +389,125 @@ func BenchmarkE13EpsilonAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSATSolver measures the CDCL solver on PHP(8,7).
+// BenchmarkSATSolver measures the CDCL solver on two instances: the
+// pigeonhole formula PHP(8,7), and a stage-3-shaped CEGAR sequence at
+// the size the campaign's solver queries run.
 func BenchmarkSATSolver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := sat.NewSolver()
-		const pigeons, holes = 8, 7
-		var x [pigeons][holes]int
-		for p := 0; p < pigeons; p++ {
+	b.Run("php-8-7", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := sat.NewSolver()
+			const pigeons, holes = 8, 7
+			var x [pigeons][holes]int
+			for p := 0; p < pigeons; p++ {
+				for h := 0; h < holes; h++ {
+					x[p][h] = s.NewVar()
+				}
+			}
+			for p := 0; p < pigeons; p++ {
+				cl := make([]sat.Lit, holes)
+				for h := 0; h < holes; h++ {
+					cl[h] = sat.NewLit(x[p][h], false)
+				}
+				if err := s.AddClause(cl...); err != nil {
+					b.Fatal(err)
+				}
+			}
 			for h := 0; h < holes; h++ {
-				x[p][h] = s.NewVar()
-			}
-		}
-		for p := 0; p < pigeons; p++ {
-			cl := make([]sat.Lit, holes)
-			for h := 0; h < holes; h++ {
-				cl[h] = sat.NewLit(x[p][h], false)
-			}
-			if err := s.AddClause(cl...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 < pigeons; p1++ {
-				for p2 := p1 + 1; p2 < pigeons; p2++ {
-					if err := s.AddClause(sat.NewLit(x[p1][h], true), sat.NewLit(x[p2][h], true)); err != nil {
-						b.Fatal(err)
+				for p1 := 0; p1 < pigeons; p1++ {
+					for p2 := p1 + 1; p2 < pigeons; p2++ {
+						if err := s.AddClause(sat.NewLit(x[p1][h], true), sat.NewLit(x[p2][h], true)); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			}
+			if r := s.Solve(); r != sat.Unsat {
+				b.Fatalf("PHP(8,7) = %v", r)
+			}
 		}
-		if r := s.Solve(); r != sat.Unsat {
-			b.Fatalf("PHP(8,7) = %v", r)
+	})
+	b.Run("stage3-cegar", func(b *testing.B) {
+		var st sat.Stats
+		for i := 0; i < b.N; i++ {
+			st = benchStage3CEGAR(b)
+		}
+		b.ReportMetric(float64(st.Conflicts), "conflicts")
+		b.ReportMetric(float64(st.Decisions), "decisions")
+	})
+}
+
+// benchStage3CEGAR builds a port-mapping query the way package smt
+// encodes one — 20 µops × 10 ports membership variables, ExactlyK
+// cardinality per µop, lex symmetry chains over adjacent port columns
+// (about 2.4k variables in all) and 300 seeded monotone lemmas — then
+// runs 100 CEGAR-style rounds, each blocking the port sets three µops
+// got in the last model. It returns the solver's counters.
+func benchStage3CEGAR(b *testing.B) sat.Stats {
+	const nu, np, lemmas, rounds = 20, 10, 300, 100
+	r := rand.New(rand.NewSource(7))
+	s := sat.NewSolver()
+	add := func(ls ...sat.Lit) {
+		if err := s.AddClause(ls...); err != nil && err != sat.ErrTrivialUnsat {
+			b.Fatal(err)
 		}
 	}
+	m := make([][]sat.Lit, nu)
+	for u := range m {
+		m[u] = make([]sat.Lit, np)
+		for k := range m[u] {
+			m[u][k] = sat.NewLit(s.NewVar(), false)
+		}
+	}
+	for u := range m {
+		if err := s.AddExactlyK(append([]sat.Lit(nil), m[u]...), 2+u%3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for k := 0; k+1 < np; k++ {
+		var prev sat.Lit = -1
+		for u := 0; u < nu; u++ {
+			x, y := m[u][k], m[u][k+1]
+			if prev < 0 {
+				add(x, y.Not())
+			} else {
+				add(prev.Not(), x, y.Not())
+			}
+			if u == nu-1 {
+				break
+			}
+			eq := sat.NewLit(s.NewVar(), false)
+			if prev >= 0 {
+				add(eq.Not(), prev)
+			}
+			add(eq.Not(), x.Not(), y)
+			add(eq.Not(), x, y.Not())
+			prev = eq
+		}
+	}
+	for i := 0; i < lemmas; i++ {
+		var cl []sat.Lit
+		for _, u := range r.Perm(nu)[:2] {
+			for _, k := range r.Perm(np)[:2+r.Intn(3)] {
+				cl = append(cl, m[u][k])
+			}
+		}
+		add(cl...)
+	}
+	for round := 0; round < rounds; round++ {
+		if s.Solve() != sat.Sat {
+			break
+		}
+		var cl []sat.Lit
+		for _, u := range r.Perm(nu)[:3] {
+			for k := 0; k < np; k++ {
+				if s.Model(m[u][k].Var()) {
+					cl = append(cl, m[u][k].Not())
+				}
+			}
+		}
+		add(cl...)
+	}
+	return s.StatsSnapshot()
 }
 
 // BenchmarkLPSolver measures the simplex solver on the throughput LP

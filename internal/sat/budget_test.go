@@ -13,6 +13,13 @@ import (
 func buildPHP(t *testing.T, pigeons, holes int) *Solver {
 	t.Helper()
 	s := NewSolver()
+	addPHP(t, s, pigeons, holes)
+	return s
+}
+
+// addPHP adds PHP(pigeons, holes) over fresh variables of s.
+func addPHP(t *testing.T, s *Solver, pigeons, holes int) {
+	t.Helper()
 	x := make([][]int, pigeons)
 	for p := 0; p < pigeons; p++ {
 		x[p] = make([]int, holes)
@@ -32,7 +39,6 @@ func buildPHP(t *testing.T, pigeons, holes int) *Solver {
 			}
 		}
 	}
-	return s
 }
 
 func TestBudgetConflictsExhausted(t *testing.T) {

@@ -7,25 +7,60 @@
 // solver (z3) used by Ritter & Hack (ASPLOS 2024): package smt layers
 // the port-mapping throughput theory on top of this solver in a
 // DPLL(T)-style loop, adding theory lemmas as learned clauses.
+//
+// The data layout follows MiniSat (Eén & Sörensson, SAT 2003):
+//
+//   - Clauses of two or more literals live in one flat arena, each a
+//     length header followed by its literals; watch lists and reasons
+//     hold int32 arena offsets, so reading a clause's first literal is
+//     one load from the arena. Clauses are never deleted.
+//   - Values are indexed by literal, so the value of a literal is a
+//     single load.
+//   - Decisions come from a binary max-heap over the variables of
+//     positive activity, ordered by (activity descending, variable
+//     index ascending), and a bitset of the variables of zero activity,
+//     taken in index order once the heap holds no unassigned variable.
+//     Most variables of an encoding (cardinality counters, lex chains)
+//     never take part in a conflict, so most picks and re-insertions
+//     are bit operations. Assigned variables are dropped lazily when
+//     they reach the front, unassigned ones re-inserted on backtrack.
+//     Bumping a variable moves it from the bitset to the heap. The
+//     activity rescale rebuilds the heap, because scaling can merge
+//     distinct activities into ties (which the index tie-break must
+//     decide) and underflow tiny ones to zero (which moves them to the
+//     bitset).
+//
+// Invariant: the decision picked is exactly the unassigned variable of
+// highest activity, the lowest index among equals — what a linear scan
+// over all variables would pick. The search trajectory — every
+// decision, propagation, conflict, learned clause and restart — is a
+// pure function of the clauses, the assumptions and the call sequence,
+// and the package's tests pin it: the SMT layer's lemmas, and with
+// them the inferred mapping, depend on it.
 package sat
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
 // Lit is a literal: a variable index with a sign. Variables are
 // numbered from 1; literal encoding is 2*v for the positive literal
 // and 2*v+1 for the negative literal (MiniSat convention).
-type Lit int
+type Lit int32
 
 // NewLit builds a literal for variable v (v >= 1). neg selects the
 // negative polarity.
 func NewLit(v int, neg bool) Lit {
 	if v < 1 {
 		panic("sat: variable indices start at 1")
+	}
+	if v > math.MaxInt32>>1 {
+		panic("sat: variable index out of range")
 	}
 	l := Lit(v << 1)
 	if neg {
@@ -59,11 +94,13 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits    []Lit
-	learned bool
-	act     float64
-}
+// cref is a clause reference: the arena offset of the clause's length
+// header. Its literals follow the header.
+type cref int32
+
+// crefUndef is the reason of a decision, an assumption or a root-level
+// unit, and the "no conflict" result of propagate.
+const crefUndef cref = -1
 
 // Result is the outcome of a Solve call.
 type Result int
@@ -94,14 +131,16 @@ var ErrTrivialUnsat = errors.New("sat: formula is trivially unsatisfiable")
 type Solver struct {
 	numVars int
 
-	clauses []*clause // problem + learned clauses
+	// arena stores every clause of two or more literals (problem and
+	// learned) as a length header followed by the literals.
+	arena []Lit
 
 	// watches[lit] lists clauses watching lit.
-	watches [][]*clause
+	watches [][]cref
 
-	assign  []lbool // indexed by variable
+	vals    []lbool // indexed by literal
 	level   []int   // decision level per variable
-	reason  []*clause
+	reason  []cref  // per variable; crefUndef for decisions and units
 	trail   []Lit
 	trailLl []int // trail length at each decision level
 
@@ -112,6 +151,20 @@ type Solver struct {
 	varInc   float64
 	polarity []bool // phase saving
 
+	// The decision order holds at least every unassigned variable:
+	// those of zero activity as bits of zeroSet (words below zeroLo are
+	// zero), the others in heap, a binary max-heap by (activity desc,
+	// index asc). heapPos[v] is v's position in heap, -1 when absent.
+	heap    []int32
+	heapPos []int32
+	zeroSet []uint64
+	zeroLo  int
+
+	// seen and learnt are conflict-analysis scratch; seen is all false
+	// between calls.
+	seen   []bool
+	learnt []Lit
+
 	// lubySeq is the next Luby restart index when the previous
 	// SolveBudget call was interrupted (budget/ctx) mid-search, so a
 	// resumed call continues the restart schedule instead of starting
@@ -120,8 +173,6 @@ type Solver struct {
 	// identical to an uninterrupted one: interruptions happen only at
 	// restart boundaries, and resuming replays no work.
 	lubySeq int
-
-	order []int // lazily sorted decision order scratch
 
 	propagations uint64
 	conflicts    uint64
@@ -149,18 +200,25 @@ const (
 
 // NewSolver creates a solver with no variables.
 func NewSolver() *Solver {
-	return &Solver{varInc: 1, watches: make([][]*clause, 2)}
+	return &Solver{varInc: 1, watches: make([][]cref, 2), vals: make([]lbool, 2)}
 }
 
 // NewVar adds a fresh variable and returns its index (>= 1).
 func (s *Solver) NewVar() int {
+	v := s.numVars
 	s.numVars++
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
 	s.watches = append(s.watches, nil, nil)
+	s.seen = append(s.seen, false)
+	s.heapPos = append(s.heapPos, -1)
+	if v&63 == 0 {
+		s.zeroSet = append(s.zeroSet, 0)
+	}
+	s.orderInsert(v)
 	return s.numVars
 }
 
@@ -172,18 +230,16 @@ func (s *Solver) Stats() (uint64, uint64, uint64) {
 	return s.propagations, s.conflicts, s.decisions
 }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()-1]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// unassigned reports whether the variable with 0-based index v has no
+// value.
+func (s *Solver) unassigned(v int) bool { return s.vals[2*v+2] == lUndef }
+
+// clauseLits returns the literals of clause c, aliasing the arena.
+func (s *Solver) clauseLits(c cref) []Lit {
+	n := cref(s.arena[c])
+	return s.arena[c+1 : c+1+n]
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLl) }
@@ -219,43 +275,46 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.rootUnsat = true
 		return ErrTrivialUnsat
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.rootUnsat = true
 			return ErrTrivialUnsat
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.rootUnsat = true
 			return ErrTrivialUnsat
 		}
 		return nil
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
-	s.attach(c)
-	s.clauses = append(s.clauses, c)
+	s.attach(out)
 	return nil
 }
 
-func (s *Solver) attach(c *clause) {
-	w0, w1 := c.lits[0].Not(), c.lits[1].Not()
+// attach stores a clause of two or more literals in the arena and
+// watches its first two literals.
+func (s *Solver) attach(lits []Lit) cref {
+	if len(s.arena)+1+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 literals")
+	}
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)))
+	s.arena = append(s.arena, lits...)
+	w0, w1 := lits[0].Not(), lits[1].Not()
 	s.watches[w0] = append(s.watches[w0], c)
 	s.watches[w1] = append(s.watches[w1], c)
+	return c
 }
 
 // enqueue assigns literal l to true with the given reason clause.
 // Returns false on conflict with the current assignment.
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
 	v := l.Var() - 1
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -263,8 +322,8 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation over the watched literals.
-// Returns the conflicting clause, or nil.
-func (s *Solver) propagate() *clause {
+// Returns the conflicting clause, or crefUndef.
+func (s *Solver) propagate() cref {
 	qhead := s.propagatedTo
 	for qhead < len(s.trail) {
 		l := s.trail[qhead]
@@ -274,20 +333,21 @@ func (s *Solver) propagate() *clause {
 		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			// Ensure c.lits[0] is the other watcher.
-			if c.lits[0] == l.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := s.clauseLits(c)
+			// Ensure lits[0] is the other watcher.
+			if lits[0] == l.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
+			if s.value(lits[0]) == lTrue {
 				kept = append(kept, c)
 				continue
 			}
 			// Find a new literal to watch.
 			moved := false
-			for j := 2; j < len(c.lits); j++ {
-				if s.value(c.lits[j]) != lFalse {
-					c.lits[1], c.lits[j] = c.lits[j], c.lits[1]
-					nw := c.lits[1].Not()
+			for j := 2; j < len(lits); j++ {
+				if s.value(lits[j]) != lFalse {
+					lits[1], lits[j] = lits[j], lits[1]
+					nw := lits[1].Not()
 					s.watches[nw] = append(s.watches[nw], c)
 					moved = true
 					break
@@ -298,7 +358,7 @@ func (s *Solver) propagate() *clause {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			if !s.enqueue(lits[0], c) {
 				// Conflict: keep remaining watchers and bail.
 				kept = append(kept, ws[i+1:]...)
 				s.watches[l] = kept
@@ -309,7 +369,7 @@ func (s *Solver) propagate() *clause {
 		s.watches[l] = kept
 	}
 	s.propagatedTo = qhead
-	return nil
+	return crefUndef
 }
 
 // backtrackTo undoes assignments above the given decision level.
@@ -319,10 +379,12 @@ func (s *Solver) backtrackTo(lvl int) {
 	}
 	bound := s.trailLl[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var() - 1
-		s.polarity[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var() - 1
+		s.polarity[v] = !l.Neg()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
+		s.reason[v] = crefUndef
+		s.orderInsert(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLl = s.trailLl[:lvl]
@@ -332,10 +394,11 @@ func (s *Solver) backtrackTo(lvl int) {
 }
 
 // analyze performs first-UIP conflict analysis. Returns the learned
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learned := []Lit{0} // placeholder for asserting literal
-	seen := make([]bool, s.numVars)
+// clause (asserting literal first), which aliases solver scratch valid
+// until the next call, and the backjump level.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learned := append(s.learnt[:0], 0) // placeholder for asserting literal
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -346,7 +409,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.clauseLits(c)[start:] {
 			v := q.Var() - 1
 			if seen[v] || s.level[v] == 0 {
 				continue
@@ -373,6 +436,12 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 	}
 	learned[0] = p.Not()
+	// Every current-level variable was resolved away (and unmarked);
+	// the rest of seen is exactly the learned clause's tail.
+	for _, q := range learned[1:] {
+		seen[q.Var()-1] = false
+	}
+	s.learnt = learned
 
 	// Compute backjump level: max level among non-asserting literals.
 	bjLevel := 0
@@ -389,27 +458,148 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	return learned, bjLevel
 }
 
+// bumpVar raises v's activity, moving v from zeroSet into the heap on
+// its first bump, and rescales every activity once one passes 1e100.
 func (s *Solver) bumpVar(v int) {
 	s.activity[v] += s.varInc
+	if w, bit := v>>6, uint64(1)<<(v&63); s.zeroSet[w]&bit != 0 {
+		s.zeroSet[w] &^= bit
+		s.heapInsert(v)
+	} else if p := s.heapPos[v]; p >= 0 {
+		s.heapUp(int(p))
+	}
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		s.rebuildOrder()
 	}
 }
 
 func (s *Solver) decayVar() { s.varInc /= varDecay }
 
-// pickBranchVar selects the unassigned variable with highest activity.
-func (s *Solver) pickBranchVar() int {
-	best, bestAct := -1, -1.0
-	for v := 0; v < s.numVars; v++ {
-		if s.assign[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+// orderInsert returns variable v to the decision order, if absent.
+func (s *Solver) orderInsert(v int) {
+	if s.activity[v] == 0 {
+		s.zeroSet[v>>6] |= 1 << (v & 63)
+		s.zeroLo = min(s.zeroLo, v>>6)
+	} else if s.heapPos[v] < 0 {
+		s.heapInsert(v)
+	}
+}
+
+// rebuildOrder restores the decision order after the activity
+// rescale. Scaling keeps the order of activities but can merge
+// distinct ones into ties, which the index tie-break must decide, and
+// can underflow tiny ones to zero, which moves them to zeroSet.
+func (s *Solver) rebuildOrder() {
+	h := s.heap[:0]
+	for _, v := range s.heap {
+		if s.activity[v] == 0 {
+			s.heapPos[v] = -1
+			s.orderInsert(int(v))
+		} else {
+			s.heapPos[v] = int32(len(h))
+			h = append(h, v)
 		}
 	}
-	return best
+	s.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		s.heapDown(i)
+	}
+}
+
+// pickBranchVar selects the unassigned variable with highest activity,
+// the lowest index among equals, or -1 when every variable is assigned.
+// Any variable of positive activity comes before every zero-activity
+// one, and zero-activity ones come in index order.
+func (s *Solver) pickBranchVar() int {
+	for len(s.heap) > 0 {
+		v := int(s.heap[0])
+		s.heapRemoveTop()
+		if s.unassigned(v) {
+			return v
+		}
+	}
+	for s.zeroLo < len(s.zeroSet) {
+		w := s.zeroSet[s.zeroLo]
+		if w == 0 {
+			s.zeroLo++
+			continue
+		}
+		s.zeroSet[s.zeroLo] = w & (w - 1)
+		v := s.zeroLo<<6 | bits.TrailingZeros64(w)
+		if s.unassigned(v) {
+			return v
+		}
+	}
+	return -1
+}
+
+// heapBefore reports whether variable a is ordered before b: higher
+// activity first, then lower index.
+func (s *Solver) heapBefore(a, b int32) bool {
+	aa, ab := s.activity[a], s.activity[b]
+	return aa > ab || (aa == ab && a < b)
+}
+
+func (s *Solver) heapInsert(v int) {
+	s.heapPos[v] = int32(len(s.heap))
+	s.heap = append(s.heap, int32(v))
+	s.heapUp(len(s.heap) - 1)
+}
+
+func (s *Solver) heapRemoveTop() {
+	h := s.heap
+	s.heapPos[h[0]] = -1
+	last := len(h) - 1
+	if last > 0 {
+		h[0] = h[last]
+		s.heapPos[h[0]] = 0
+	}
+	s.heap = h[:last]
+	if last > 1 {
+		s.heapDown(0)
+	}
+}
+
+func (s *Solver) heapUp(i int) {
+	h := s.heap
+	v := h[i]
+	for i > 0 {
+		p := (i - 1) >> 1
+		if !s.heapBefore(v, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.heapPos[h[i]] = int32(i)
+		i = p
+	}
+	h[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+func (s *Solver) heapDown(i int) {
+	h := s.heap
+	v := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && s.heapBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !s.heapBefore(h[c], v) {
+			break
+		}
+		h[i] = h[c]
+		s.heapPos[h[i]] = int32(i)
+		i = c
+	}
+	h[i] = v
+	s.heapPos[v] = int32(i)
 }
 
 // luby returns the i-th element (1-based) of the Luby restart
@@ -496,7 +686,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 	}
 
 	s.backtrackTo(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.rootUnsat = true
 		s.lubySeq = 0
 		return Unsat, nil
@@ -511,7 +701,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.conflicts++
 			conflictsHere++
 			if s.decisionLevel() == 0 {
@@ -522,15 +712,13 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 			learned, bjLevel := s.analyze(confl)
 			s.backtrackTo(bjLevel)
 			if len(learned) == 1 {
-				if !s.enqueue(learned[0], nil) {
+				if !s.enqueue(learned[0], crefUndef) {
 					s.rootUnsat = true
 					s.lubySeq = 0
 					return Unsat, nil
 				}
 			} else {
-				c := &clause{lits: learned, learned: true}
-				s.attach(c)
-				s.clauses = append(s.clauses, c)
+				c := s.attach(learned)
 				s.learnedN++
 				s.enqueue(learned[0], c)
 			}
@@ -567,7 +755,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 			case lUndef:
 				assumptionsOK = false
 				s.trailLl = append(s.trailLl, len(s.trail))
-				s.enqueue(a, nil)
+				s.enqueue(a, crefUndef)
 			}
 			if !assumptionsOK {
 				break
@@ -584,7 +772,7 @@ func (s *Solver) SolveBudget(ctx context.Context, budget *Budget, assumptions ..
 		}
 		s.decisions++
 		s.trailLl = append(s.trailLl, len(s.trail))
-		s.enqueue(NewLit(v+1, !s.polarity[v]), nil)
+		s.enqueue(NewLit(v+1, !s.polarity[v]), crefUndef)
 	}
 }
 
@@ -613,7 +801,7 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		// inconsistent with the formula.
 		return core
 	}
-	seen := make([]bool, s.numVars)
+	seen := s.seen
 	seen[p.Var()-1] = true
 	bound := s.trailLl[0]
 	for i := len(s.trail) - 1; i >= bound; i-- {
@@ -621,10 +809,10 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		if !seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == crefUndef {
 			core = append(core, s.trail[i])
 		} else {
-			for _, q := range s.reason[v].lits[1:] {
+			for _, q := range s.clauseLits(s.reason[v])[1:] {
 				if s.level[q.Var()-1] > 0 {
 					seen[q.Var()-1] = true
 				}
@@ -632,6 +820,8 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		}
 		seen[v] = false
 	}
+	// ¬p itself is below the walk when it is a root consequence.
+	seen[p.Var()-1] = false
 	return core
 }
 
@@ -641,5 +831,5 @@ func (s *Solver) Model(v int) bool {
 	if v < 1 || v > s.numVars {
 		panic(fmt.Sprintf("sat: variable %d out of range", v))
 	}
-	return s.assign[v-1] == lTrue
+	return s.value(Lit(v<<1)) == lTrue
 }

@@ -152,6 +152,11 @@ var corruptLemmaCases = []struct {
 		wantErr: "invalid slack -0.5",
 	},
 	{
+		name:    "slack -0.25",
+		recs:    []LemmaRecord{{Lits: []LemmaLitRecord{{Uop: 0, Port: 0}}, Src: portmodel.Exp("iA"), Slack: -0.25}},
+		wantErr: "invalid slack -0.25",
+	},
+	{
 		name:    "bad record after valid one",
 		recs:    []LemmaRecord{validLemmaRecord, {Lits: []LemmaLitRecord{{Uop: 0, Port: 99}}, Src: portmodel.Exp("iA")}},
 		wantErr: "lemma 1",

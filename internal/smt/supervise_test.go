@@ -267,20 +267,6 @@ func TestSlackenedLemmaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreLemmasRejectsInvalidSlack(t *testing.T) {
-	in := pairInstance()
-	for _, bad := range []float64{-0.25} {
-		recs := []LemmaRecord{{
-			Lits:  []LemmaLitRecord{{Uop: 0, Port: 0}},
-			Src:   portmodel.Exp("iA"),
-			Slack: bad,
-		}}
-		if err := in.RestoreLemmas(recs); err == nil {
-			t.Fatalf("slack %v accepted", bad)
-		}
-	}
-}
-
 func TestDropLemmasFrom(t *testing.T) {
 	in := pairInstance()
 	exps := liedExps()
