@@ -1,11 +1,10 @@
 // Package lp implements a small dense linear-programming solver using
 // the two-phase primal simplex method with Bland's anti-cycling rule.
 //
-// It exists for two reasons: (1) to solve the port-mapping throughput
-// LP of Section 2.2 of Ritter & Hack (ASPLOS 2024) directly, as an
-// independent cross-check of the combinatorial evaluator in package
-// portmodel, and (2) as the fitting engine for the Palmed-style
-// baseline, which computes resource pressures by linear programming.
+// It solves the port-mapping throughput LP of Section 2.2 of Ritter &
+// Hack (ASPLOS 2024) directly, as an independent test oracle for the
+// exact bottleneck-set evaluator in package portmodel. No production
+// path imports it: the bottleneck-set formula equals the LP optimum.
 //
 // The solver handles problems of the form
 //
@@ -62,10 +61,7 @@ var ErrNotSolved = errors.New("lp: problem not solved")
 const eps = 1e-9
 
 // Problem is a linear program under construction. All variables are
-// implicitly non-negative. A Problem doubles as an arena: Reset keeps
-// the allocated row storage for the next build, SetRHS retunes an
-// existing structure in place, and SolveWarm re-solves from a basis
-// recorded by a previous Solve.
+// implicitly non-negative.
 type Problem struct {
 	nvars    int
 	obj      []float64 // minimization objective
@@ -78,28 +74,10 @@ type Problem struct {
 	x        []float64
 	objVal   float64
 	maximize bool
-	// lastBasis is the optimal basis of the most recent successful
-	// solve (column indices per tableau row), the warm-start seed.
-	lastBasis []int
 }
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
-
-// Reset empties the problem while keeping allocated storage, so one
-// Problem value can be rebuilt repeatedly without reallocating the
-// constraint arena.
-func (p *Problem) Reset() {
-	p.nvars = 0
-	p.obj = p.obj[:0]
-	p.rows = p.rows[:0]
-	p.rels = p.rels[:0]
-	p.rhs = p.rhs[:0]
-	p.names = p.names[:0]
-	p.solved = false
-	p.maximize = false
-	p.lastBasis = nil
-}
 
 // SetMaximize switches the problem to maximization of the objective.
 func (p *Problem) SetMaximize() { p.maximize = true }
@@ -123,16 +101,7 @@ func (p *Problem) AddConstraint(vars []int, coeffs []float64, rel Relation, rhs 
 	if len(vars) != len(coeffs) {
 		return fmt.Errorf("lp: %d vars but %d coeffs", len(vars), len(coeffs))
 	}
-	// Reuse a row freed by Reset when its capacity suffices.
-	var row []float64
-	if n := len(p.rows); n < cap(p.rows) && cap(p.rows[:n+1][n]) >= p.nvars {
-		row = p.rows[:n+1][n][:p.nvars]
-		for i := range row {
-			row[i] = 0
-		}
-	} else {
-		row = make([]float64, p.nvars)
-	}
+	row := make([]float64, p.nvars)
 	for i, v := range vars {
 		if v < 0 || v >= p.nvars {
 			return fmt.Errorf("lp: variable index %d out of range", v)
@@ -144,29 +113,6 @@ func (p *Problem) AddConstraint(vars []int, coeffs []float64, rel Relation, rhs 
 	p.rhs = append(p.rhs, rhs)
 	p.solved = false
 	return nil
-}
-
-// SetRHS replaces the right-hand side of constraint i, keeping its
-// coefficient structure. Together with SolveWarm this turns a built
-// problem into a reusable evaluator: retune the constants, re-solve
-// from the previous basis.
-func (p *Problem) SetRHS(i int, rhs float64) error {
-	if i < 0 || i >= len(p.rhs) {
-		return fmt.Errorf("lp: constraint index %d out of range", i)
-	}
-	p.rhs[i] = rhs
-	p.solved = false
-	return nil
-}
-
-// Basis returns the optimal basis of the last successful Solve or
-// SolveWarm (one tableau column index per constraint row), suitable
-// for a later SolveWarm on the same structure.
-func (p *Problem) Basis() ([]int, error) {
-	if !p.solved || p.status != Optimal || p.lastBasis == nil {
-		return nil, ErrNotSolved
-	}
-	return append([]int(nil), p.lastBasis...), nil
 }
 
 // NumVariables returns the number of variables added so far.
@@ -194,15 +140,13 @@ func (p *Problem) Objective() (float64, error) {
 	return p.objVal, nil
 }
 
-// buildTableau standardizes the problem: ensure rhs >= 0, add
-// slack/surplus and artificial variables. Column layout:
-// [structural | slack/surplus | artificial], last column rhs.
-// It returns the tableau, the initial basis, the artificial column
-// indices, the slack count, and the total column count (excluding
-// rhs).
-func (p *Problem) buildTableau() (t [][]float64, basis, artCols []int, nSlack, total int) {
+// Solve runs two-phase simplex and returns the outcome.
+func (p *Problem) Solve() Status {
 	n := p.nvars
 	mrows := len(p.rows)
+
+	// Standardize: ensure rhs >= 0, add slack/surplus and artificial
+	// variables. Column layout: [structural | slack/surplus | artificial].
 	type rowSpec struct {
 		coeffs []float64
 		rhs    float64
@@ -228,6 +172,7 @@ func (p *Problem) buildTableau() (t [][]float64, basis, artCols []int, nSlack, t
 		rows[i] = r
 	}
 
+	nSlack := 0
 	for _, r := range rows {
 		if r.rel != EQ {
 			nSlack++
@@ -239,11 +184,12 @@ func (p *Problem) buildTableau() (t [][]float64, basis, artCols []int, nSlack, t
 			nArt++
 		}
 	}
-	total = n + nSlack + nArt
-	t = make([][]float64, mrows)
-	basis = make([]int, mrows)
+	total := n + nSlack + nArt
+	// Tableau: mrows x (total+1), last column rhs.
+	t := make([][]float64, mrows)
+	basis := make([]int, mrows)
 	slackIdx, artIdx := n, n+nSlack
-	artCols = make([]int, 0, nArt)
+	artCols := make([]int, 0, nArt)
 	for i, r := range rows {
 		t[i] = make([]float64, total+1)
 		copy(t[i], r.coeffs)
@@ -267,16 +213,9 @@ func (p *Problem) buildTableau() (t [][]float64, basis, artCols []int, nSlack, t
 			artIdx++
 		}
 	}
-	return t, basis, artCols, nSlack, total
-}
-
-// Solve runs two-phase simplex and returns the outcome.
-func (p *Problem) Solve() Status {
-	n := p.nvars
-	t, basis, artCols, nSlack, total := p.buildTableau()
 
 	// Phase 1: minimize sum of artificials.
-	if len(artCols) > 0 {
+	if nArt > 0 {
 		cost := make([]float64, total)
 		for _, c := range artCols {
 			cost[c] = 1
@@ -311,63 +250,7 @@ func (p *Problem) Solve() Status {
 		}
 	}
 
-	return p.phase2(t, basis, total)
-}
-
-// SolveWarm re-solves the problem starting from a basis recorded by
-// Basis on the same constraint structure (typically after SetRHS
-// retuned the constants). It rebuilds the standardized tableau,
-// pivots directly into the given basis, and — when that basis is
-// still primal-feasible for the new constants — skips phase 1
-// entirely and polishes with phase-2 simplex. Any mismatch (wrong
-// length, artificial or unreachable columns, an infeasible basis)
-// falls back to a cold Solve, so SolveWarm never returns a different
-// status than Solve would.
-func (p *Problem) SolveWarm(warm []int) Status {
-	t, basis, artCols, nSlack, total := p.buildTableau()
-	if len(warm) != len(basis) {
-		return p.Solve()
-	}
-	n := p.nvars
-	assigned := make([]bool, len(basis))
-	for _, col := range warm {
-		if col < 0 || col >= n+nSlack {
-			return p.Solve()
-		}
-		// Pivot the largest unassigned entry of the target column, for
-		// stability; any choice reaches the same basis.
-		row, best := -1, eps
-		for i := range t {
-			if !assigned[i] {
-				if a := math.Abs(t[i][col]); a > best {
-					row, best = i, a
-				}
-			}
-		}
-		if row == -1 {
-			return p.Solve()
-		}
-		pivot(t, basis, row, col)
-		assigned[row] = true
-	}
-	// Primal feasibility under the new rhs; otherwise start over.
-	for i := range t {
-		if t[i][total] < -eps {
-			return p.Solve()
-		}
-	}
-	for _, c := range artCols {
-		for i := range t {
-			t[i][c] = 0
-		}
-	}
-	return p.phase2(t, basis, total)
-}
-
-// phase2 optimizes the original objective over a primal-feasible
-// tableau and records the solution and final basis.
-func (p *Problem) phase2(t [][]float64, basis []int, total int) Status {
-	n := p.nvars
+	// Phase 2: original objective.
 	cost := make([]float64, total)
 	for j := 0; j < n; j++ {
 		if p.maximize {
@@ -381,13 +264,7 @@ func (p *Problem) phase2(t [][]float64, basis []int, total int) Status {
 		p.solved, p.status = true, Unbounded
 		return Unbounded
 	}
-	if p.x == nil || len(p.x) != n {
-		p.x = make([]float64, n)
-	} else {
-		for i := range p.x {
-			p.x[i] = 0
-		}
-	}
+	p.x = make([]float64, n)
 	for i, b := range basis {
 		if b < n {
 			p.x[b] = t[i][total]
@@ -397,7 +274,6 @@ func (p *Problem) phase2(t [][]float64, basis []int, total int) Status {
 		val = -val
 	}
 	p.objVal = val
-	p.lastBasis = append(p.lastBasis[:0], basis...)
 	p.solved, p.status = true, Optimal
 	return Optimal
 }

@@ -16,9 +16,9 @@ import (
 //	     (D) x_uk >= 0
 //	     (E) x_uk = 0 if port k not admissible for u
 //
-// It is an independent cross-check of the combinatorial evaluator in
-// portmodel (Mapping.InverseThroughput); property tests assert both
-// agree on random mappings and experiments.
+// It is an independent test oracle for the combinatorial evaluator in
+// portmodel (Mapping.InverseThroughput); property and fuzz tests
+// assert both agree on random mappings and experiments.
 func InverseThroughput(m *portmodel.Mapping, e portmodel.Experiment) (float64, error) {
 	// Collect µop masses (merged by port set, like the evaluator).
 	type uop struct {
@@ -90,138 +90,6 @@ func InverseThroughput(m *portmodel.Mapping, e portmodel.Experiment) (float64, e
 	switch p.Solve() {
 	case Optimal:
 		return p.Objective()
-	case Infeasible:
-		return 0, fmt.Errorf("lp: throughput LP infeasible (bug)")
-	default:
-		return 0, fmt.Errorf("lp: throughput LP unbounded (bug)")
-	}
-}
-
-// ThroughputEvaluator amortizes the throughput LP across many
-// experiments on one mapping. The LP structure — one mass constraint
-// per distinct port set of the mapping, one capacity constraint per
-// port — is built once; each experiment only retunes the mass
-// right-hand sides with SetRHS and re-solves warm from the previous
-// optimal basis, falling back to a cold solve when the basis is no
-// longer feasible. Values agree with InverseThroughput (both solve
-// the same LP) within solver tolerance.
-//
-// A ThroughputEvaluator is not safe for concurrent use.
-type ThroughputEvaluator struct {
-	m       *portmodel.Mapping
-	p       *Problem
-	sets    []portmodel.PortSet
-	setIdx  map[portmodel.PortSet]int
-	massRow []int     // constraint row of (A) per port set
-	mass    []float64 // per-experiment scratch
-	basis   []int     // warm-start seed from the previous solve
-}
-
-// NewThroughputEvaluator builds the LP skeleton for all port sets
-// appearing in the mapping.
-func NewThroughputEvaluator(m *portmodel.Mapping) (*ThroughputEvaluator, error) {
-	ev := &ThroughputEvaluator{m: m, setIdx: make(map[portmodel.PortSet]int)}
-	for _, key := range m.Keys() {
-		u, _ := m.Get(key)
-		for _, x := range u {
-			if x.Count == 0 {
-				continue
-			}
-			if _, ok := ev.setIdx[x.Ports]; !ok {
-				ev.setIdx[x.Ports] = len(ev.sets)
-				ev.sets = append(ev.sets, x.Ports)
-			}
-		}
-	}
-	p := NewProblem()
-	tVar := p.AddVariable(1, "t")
-	xs := make([]map[int]int, len(ev.sets))
-	for si, ps := range ev.sets {
-		xs[si] = make(map[int]int)
-		for _, k := range ps.Ports() {
-			xs[si][k] = p.AddVariable(0, fmt.Sprintf("x_%d_%d", si, k))
-		}
-	}
-	// (A) all mass distributed; rhs retuned per experiment.
-	ev.massRow = make([]int, len(ev.sets))
-	for si := range ev.sets {
-		vars := make([]int, 0, len(xs[si]))
-		coeffs := make([]float64, 0, len(xs[si]))
-		for _, v := range xs[si] {
-			vars = append(vars, v)
-			coeffs = append(coeffs, 1)
-		}
-		ev.massRow[si] = p.NumConstraints()
-		if err := p.AddConstraint(vars, coeffs, EQ, 0); err != nil {
-			return nil, err
-		}
-	}
-	// (B)+(C) folded: sum over sets admitting port k minus t <= 0.
-	for k := 0; k < m.NumPorts; k++ {
-		vars := []int{tVar}
-		coeffs := []float64{-1}
-		for si := range ev.sets {
-			if v, ok := xs[si][k]; ok {
-				vars = append(vars, v)
-				coeffs = append(coeffs, 1)
-			}
-		}
-		if len(vars) == 1 {
-			continue
-		}
-		if err := p.AddConstraint(vars, coeffs, LE, 0); err != nil {
-			return nil, err
-		}
-	}
-	ev.p = p
-	ev.mass = make([]float64, len(ev.sets))
-	return ev, nil
-}
-
-// InverseThroughput solves the LP for one experiment, reusing the
-// built structure and the previous basis.
-func (ev *ThroughputEvaluator) InverseThroughput(e portmodel.Experiment) (float64, error) {
-	for i := range ev.mass {
-		ev.mass[i] = 0
-	}
-	for key, n := range e {
-		if n == 0 {
-			continue
-		}
-		u, ok := ev.m.Get(key)
-		if !ok {
-			return 0, fmt.Errorf("lp: no usage known for %q", key)
-		}
-		for _, x := range u {
-			if x.Count == 0 {
-				continue
-			}
-			ev.mass[ev.setIdx[x.Ports]] += float64(n * x.Count)
-		}
-	}
-	for si, row := range ev.massRow {
-		// Negative accumulated mass matches InverseThroughput's
-		// behavior of dropping non-positive µops.
-		m := ev.mass[si]
-		if m < 0 {
-			m = 0
-		}
-		if err := ev.p.SetRHS(row, m); err != nil {
-			return 0, err
-		}
-	}
-	var st Status
-	if ev.basis != nil {
-		st = ev.p.SolveWarm(ev.basis)
-	} else {
-		st = ev.p.Solve()
-	}
-	switch st {
-	case Optimal:
-		if b, err := ev.p.Basis(); err == nil {
-			ev.basis = b
-		}
-		return ev.p.Objective()
 	case Infeasible:
 		return 0, fmt.Errorf("lp: throughput LP infeasible (bug)")
 	default:

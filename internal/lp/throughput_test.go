@@ -162,3 +162,70 @@ func TestThroughputSubadditive(t *testing.T) {
 		}
 	}
 }
+
+// fuzzInstance decodes fuzz input into a mapping over at most 10 ports
+// and an experiment on it. Byte 0 gives the port count (1 + b%10),
+// byte 1 the scheme count (1 + b%4). Each scheme then reads one byte
+// for its µop count (1 + b%3) and three bytes per µop: a little-endian
+// port mask (an empty mask becomes port 0) and the µop count
+// (1 + b%3). The remaining bytes are the experiment's per-scheme
+// counts (b%5). Missing bytes read as zero.
+func fuzzInstance(data []byte) (*portmodel.Mapping, portmodel.Experiment) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	numPorts := 1 + next()%10
+	numKeys := 1 + next()%4
+	all := portmodel.PortSet(1)<<uint(numPorts) - 1
+	m := portmodel.NewMapping(numPorts)
+	for i := 0; i < numKeys; i++ {
+		u := make(portmodel.Usage, 1+next()%3)
+		for j := range u {
+			ps := portmodel.PortSet(next()|next()<<8) & all
+			if ps == 0 {
+				ps = 1
+			}
+			u[j] = portmodel.Uop{Ports: ps, Count: 1 + next()%3}
+		}
+		m.Set(key(i), u)
+	}
+	e := make(portmodel.Experiment)
+	for i := 0; i < numKeys; i++ {
+		if c := next() % 5; c > 0 {
+			e[key(i)] = c
+		}
+	}
+	return m, e
+}
+
+// FuzzLPMatchesReference checks the simplex solution of the Section
+// 2.2 LP against the exact bottleneck-set evaluator on decoded
+// mappings and experiments, within the tolerance the compiled
+// evaluator's property test uses.
+func FuzzLPMatchesReference(f *testing.F) {
+	// The paper's mapping: add on {0,1}, mul on {1}, fma = 2×{0,1} + {1};
+	// [2×mul, fma] runs at 3 cycles.
+	f.Add([]byte{1, 2, 0, 3, 0, 0, 0, 2, 0, 0, 1, 3, 0, 1, 2, 0, 0, 0, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		m, e := fuzzInstance(data)
+		want, err := m.InverseThroughput(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := InverseThroughput(m, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-6*(1+want) {
+			t.Fatalf("LP %v, bottleneck sets %v\nmapping: %v\nexp: %v", got, want, m, e)
+		}
+	})
+}

@@ -329,20 +329,21 @@ func (m *Mapping) InverseThroughput(e Experiment) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, v := bottleneck(mass)
+	_, v := Bottleneck(mass)
 	return v, nil
 }
 
-// bottleneck evaluates max over non-empty Q of mass(Q)/|Q| and
-// returns a maximizing set together with the value. It is the single
-// shared core of InverseThroughput, InverseThroughputBounded, and
-// BottleneckWitness. To stay subexponential in common cases it
+// Bottleneck evaluates max over non-empty Q of mass(Q)/|Q| for
+// per-port-set µop masses and returns a maximizing set together with
+// the value. It is the single shared core of InverseThroughput,
+// InverseThroughputBounded, BottleneckWitness, and the simulator's
+// port-time model. To stay subexponential in common cases it
 // enumerates only subsets of the union of occurring port sets; ports
 // outside that union can never be a bottleneck. Ties are broken
 // toward the subset with the smallest enumeration index, i.e. the
 // numerically smallest PortSet — package Compiled replicates this
 // tie-break exactly so both evaluators return identical witnesses.
-func bottleneck(mass map[PortSet]float64) (PortSet, float64) {
+func Bottleneck(mass map[PortSet]float64) (PortSet, float64) {
 	var union PortSet
 	for ps, m := range mass {
 		if m > 0 {
@@ -437,7 +438,7 @@ func (m *Mapping) BottleneckWitness(e Experiment) (PortSet, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	q, v := bottleneck(mass)
+	q, v := Bottleneck(mass)
 	return q, v, nil
 }
 

@@ -5,18 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"zenport/internal/lp"
 	"zenport/internal/portmodel"
 )
 
-// evalPool hands out per-goroutine evaluator sets for one mapping.
-// Both portmodel.Compiled and lp.ThroughputEvaluator are documented
-// single-goroutine — their scratch buffers, memo, and warm-start basis
-// are unsynchronized by design, because the inference pipeline's hot
-// loops own one evaluator each. A server handling concurrent requests
-// must therefore never share one evaluator across handlers; this pool
-// gives every in-flight request exclusive use of a compiled evaluator
-// (and a lazily built LP cross-checker) and recycles them through a
+// evalPool hands out per-goroutine compiled evaluators for one
+// mapping. portmodel.Compiled is documented single-goroutine — its
+// scratch buffers and memo are unsynchronized by design, because the
+// inference pipeline's hot loops own one evaluator each. A server
+// handling concurrent requests must therefore never share one
+// evaluator across handlers; this pool gives every in-flight request
+// exclusive use of a compiled evaluator and recycles them through a
 // sync.Pool, so steady-state serving compiles nothing and allocates
 // only what the runtime's pool shards need.
 //
@@ -31,40 +29,33 @@ type evalPool struct {
 	// the worst-case memory is memoLimit × live evaluators — bounded
 	// by the request concurrency.
 	memoLimit int
-	pool      sync.Pool // holds *evaluators
+	pool      sync.Pool // holds *portmodel.Compiled
 	compiles  atomic.Uint64
-}
-
-// evaluators is one exclusive evaluator set: the compiled combinatorial
-// evaluator plus an LP cross-checker built on first use.
-type evaluators struct {
-	c  *portmodel.Compiled
-	lp *lp.ThroughputEvaluator
 }
 
 // newEvalPool validates that the mapping compiles and returns a pool
 // for it.
 func newEvalPool(m *portmodel.Mapping, memoLimit int) (*evalPool, error) {
 	p := &evalPool{m: m, memoLimit: memoLimit}
-	ev, err := p.get(context.Background())
+	c, err := p.get(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	p.put(ev)
+	p.put(c)
 	return p, nil
 }
 
-// get returns an exclusive evaluator set, compiling a fresh one when
-// the pool is empty (startup, or after the GC trimmed it). A context
-// that already ended returns its error instead: a request whose
-// deadline expired while queued must not check out an evaluator it
-// will never use.
-func (p *evalPool) get(ctx context.Context) (*evaluators, error) {
+// get returns an exclusive evaluator, compiling a fresh one when the
+// pool is empty (startup, or after the GC trimmed it). A context that
+// already ended returns its error instead: a request whose deadline
+// expired while queued must not check out an evaluator it will never
+// use.
+func (p *evalPool) get(ctx context.Context) (*portmodel.Compiled, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if v := p.pool.Get(); v != nil {
-		return v.(*evaluators), nil
+		return v.(*portmodel.Compiled), nil
 	}
 	c, err := portmodel.CompileMapping(p.m, nil)
 	if err != nil {
@@ -74,21 +65,8 @@ func (p *evalPool) get(ctx context.Context) (*evaluators, error) {
 		c.SetMemoLimit(p.memoLimit)
 	}
 	p.compiles.Add(1)
-	return &evaluators{c: c}, nil
+	return c, nil
 }
 
-// put returns an evaluator set to the pool.
-func (p *evalPool) put(ev *evaluators) { p.pool.Put(ev) }
-
-// lpEval returns the evaluator set's LP cross-checker, building it on
-// first use (most requests never ask for it).
-func (ev *evaluators) lpEval(m *portmodel.Mapping) (*lp.ThroughputEvaluator, error) {
-	if ev.lp == nil {
-		e, err := lp.NewThroughputEvaluator(m)
-		if err != nil {
-			return nil, err
-		}
-		ev.lp = e
-	}
-	return ev.lp, nil
-}
+// put returns an evaluator to the pool.
+func (p *evalPool) put(c *portmodel.Compiled) { p.pool.Put(c) }

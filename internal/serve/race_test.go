@@ -85,7 +85,7 @@ func TestEvalPoolConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := ev.c.InverseThroughput(exps[idx])
+				got, err := ev.InverseThroughput(exps[idx])
 				pool.put(ev)
 				if err != nil {
 					errs <- err

@@ -160,7 +160,7 @@ func (h *handle) smokeCheck(rmax float64) (err error) {
 		}
 		h.pool.put(ev)
 	}()
-	got, err := ev.c.InverseThroughputBounded(probe, rmax)
+	got, err := ev.InverseThroughputBounded(probe, rmax)
 	if err != nil {
 		return fmt.Errorf("probe %q: %w", h.keys[0], err)
 	}

@@ -15,11 +15,11 @@
 // The serving hot path composes three layers, each reused from the
 // batch stack rather than reimplemented:
 //
-//   - an evaluator pool (evalPool): portmodel.Compiled and
-//     lp.ThroughputEvaluator are single-goroutine by contract, so
-//     every in-flight request borrows an exclusive evaluator from a
-//     sync.Pool — no locks on the evaluation itself, no shared
-//     scratch state, race-detector clean at any concurrency;
+//   - an evaluator pool (evalPool): portmodel.Compiled is
+//     single-goroutine by contract, so every in-flight request
+//     borrows an exclusive evaluator from a sync.Pool — no locks on
+//     the evaluation itself, no shared scratch state, race-detector
+//     clean at any concurrency;
 //   - in-flight deduplication (engine.Flight): concurrent identical
 //     requests — same canonical experiment key, the engine's cache
 //     identity — evaluate once and share the result;
@@ -571,52 +571,19 @@ func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experimen
 		}
 	}
 	h.evals.Add(1)
-	q, inv, err := ev.c.BottleneckWitness(e)
+	q, inv, err := ev.BottleneckWitness(e)
 	if err != nil {
 		return prediction{}, err
 	}
-	invB, err := ev.c.InverseThroughputBounded(e, rmax)
+	invB, err := ev.InverseThroughputBounded(e, rmax)
 	if err != nil {
 		return prediction{}, err
 	}
-	ipc, err := ev.c.IPC(e, rmax)
+	ipc, err := ev.IPC(e, rmax)
 	if err != nil {
 		return prediction{}, err
 	}
 	return prediction{inv: inv, invB: invB, ipc: ipc, witness: q, witnessV: inv, total: e.Len()}, nil
-}
-
-// lpCrossCheck solves the throughput LP for the experiment on a
-// pooled evaluator — an independent simplex-based answer to the same
-// LP the combinatorial evaluator solves exactly. It runs behind the
-// same admission gate and panic isolation as predictions.
-func (h *handle) lpCrossCheck(ctx context.Context, e portmodel.Experiment) (float64, error) {
-	if err := h.s.gate.acquire(ctx); err != nil {
-		return 0, h.s.shedError(err)
-	}
-	defer h.s.gate.release()
-	ev, err := h.pool.get(ctx)
-	if err != nil {
-		return 0, err
-	}
-	var v float64
-	err = func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				h.s.panics.Add(1)
-				err = errf(http.StatusInternalServerError, "serve: evaluator panic: %v", rec)
-				return // ev deliberately not pooled
-			}
-			h.pool.put(ev)
-		}()
-		lpe, lerr := ev.lpEval(h.m)
-		if lerr != nil {
-			return lerr
-		}
-		v, lerr = lpe.InverseThroughput(e)
-		return lerr
-	}()
-	return v, err
 }
 
 // ---- wire types ----
@@ -630,9 +597,6 @@ type PredictRequest struct {
 	// Experiment is the explicit multiset form; exactly one of Kernel
 	// and Experiment must be set.
 	Experiment map[string]int `json:"experiment,omitempty"`
-	// LPCheck additionally solves the Section 2.2 LP with the simplex
-	// solver and reports its value (a consistency cross-check).
-	LPCheck bool `json:"lp_check,omitempty"`
 }
 
 // Bottleneck is a bottleneck-set witness: the port set Q maximizing
@@ -663,8 +627,6 @@ type PredictResponse struct {
 	// concurrent identical evaluation.
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced,omitempty"`
-	// LPInvThroughput is the simplex cross-check (with lp_check).
-	LPInvThroughput *float64 `json:"lp_inv_throughput,omitempty"`
 }
 
 // UopJSON is the wire form of one µop, matching mapping.json.
@@ -817,7 +779,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	resp := PredictResponse{
+	s.writeJSON(w, PredictResponse{
 		Mapping:                h.name,
 		Experiment:             e,
 		Instructions:           p.total,
@@ -828,16 +790,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Bottleneck:             bottleneckOf(p),
 		Cached:                 out.Hit,
 		Coalesced:              out.Joined > 0,
-	}
-	if req.LPCheck {
-		v, err := h.lpCrossCheck(ctx, e)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp.LPInvThroughput = &v
-	}
-	s.writeJSON(w, resp)
+	})
 }
 
 // predictCommon factors the method check and body decode shared by

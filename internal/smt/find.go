@@ -102,11 +102,13 @@ func (in *Instance) FindMappingBudget(ctx context.Context, exps []MeasuredExp, b
 		return nil, err
 	}
 	// Compiled propagation state: dense weight vectors, packed µops,
-	// zero allocations per candidate check. Experiments mentioning
-	// unknown keys or negative counts cannot be interned; those fall
-	// back to the reference evaluator, whose per-call errors preserve
-	// the original behavior exactly.
-	prop, _ := in.NewPropagator(exps)
+	// zero allocations per candidate check. An experiment that cannot
+	// be interned (a key outside the instance, a negative count) fails
+	// the query before any search.
+	prop, err := in.NewPropagator(exps)
+	if err != nil {
+		return nil, err
+	}
 	var byUop []portmodel.PortSet
 	iters, lemmas0, budgetStopped := 0, len(in.lemmas), false
 	defer func() { in.noteQuery(enc, iters, lemmas0, budgetStopped) }()
@@ -124,26 +126,13 @@ func (in *Instance) FindMappingBudget(ctx context.Context, exps []MeasuredExp, b
 			return nil, ErrNoMapping
 		}
 		byUop = in.decodePorts(enc, byUop)
-		var m *portmodel.Mapping
-		var vs []violation
-		if prop != nil {
-			prop.load(byUop)
-			vs = prop.check()
-		} else {
-			m = in.mappingFromPorts(byUop)
-			vs, err = in.checkExps(m, exps)
-			if err != nil {
-				return nil, err
-			}
-		}
+		prop.load(byUop)
+		vs := prop.check()
 		if len(vs) == 0 {
-			if m == nil {
-				m = in.mappingFromPorts(byUop)
-			}
-			return m, nil
+			return in.mappingFromPorts(byUop), nil
 		}
 		// Theory conflict: learn generalized lemmas and re-solve.
-		if err := in.learnViolations(enc, prop, m, byUop, exps, vs); err != nil {
+		if err := in.learnViolations(enc, prop, byUop, exps, vs); err != nil {
 			if errors.Is(err, errUnsatLemma) {
 				return nil, ErrNoMapping
 			}
@@ -239,7 +228,10 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 	if err != nil {
 		return nil, err
 	}
-	prop, _ := in.NewPropagator(exps)
+	prop, err := in.NewPropagator(exps)
+	if err != nil {
+		return nil, err
+	}
 	var byUop []portmodel.PortSet
 	iters, lemmas0, budgetStopped := 0, len(in.lemmas), false
 	defer func() { in.noteQuery(enc, iters, lemmas0, budgetStopped) }()
@@ -264,20 +256,9 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 			return nil, nil
 		}
 		byUop = in.decodePorts(enc, byUop)
-		var m2 *portmodel.Mapping
-		var vs []violation
-		if prop != nil {
-			prop.load(byUop)
-			vs = prop.check()
-		} else {
-			m2 = in.mappingFromPorts(byUop)
-			vs, err = in.checkExps(m2, exps)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(vs) > 0 {
-			if err := in.learnViolations(enc, prop, m2, byUop, exps, vs); err != nil {
+		prop.load(byUop)
+		if vs := prop.check(); len(vs) > 0 {
+			if err := in.learnViolations(enc, prop, byUop, exps, vs); err != nil {
 				if errors.Is(err, errUnsatLemma) {
 					return nil, nil
 				}
@@ -285,9 +266,7 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 			}
 			continue
 		}
-		if m2 == nil {
-			m2 = in.mappingFromPorts(byUop)
-		}
+		m2 := in.mappingFromPorts(byUop)
 		candidates++
 		// m2 is consistent. Indistinguishable permutations of m1 are
 		// skipped outright.
@@ -345,7 +324,7 @@ func (in *Instance) candidateExps(m1 *portmodel.Mapping, maxDistinct, maxTotal i
 				return comp.InverseThroughputBoundedWeights(w, total, in.Rmax), nil
 			}
 		}
-		return in.modelTInv(m1, e)
+		return m1.InverseThroughputBounded(e, in.Rmax)
 	}
 	var out []candExp
 	for total := 1; total <= maxTotal; total++ {
@@ -416,7 +395,7 @@ func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, cands []candExp) (
 			}
 		}
 		if comp2 == nil || err != nil {
-			t2, err = in.modelTInv(m2, c.exp)
+			t2, err = m2.InverseThroughputBounded(c.exp, in.Rmax)
 		}
 		if err != nil {
 			return nil, 0, 0, err
@@ -454,11 +433,11 @@ func (in *Instance) searchSize(m1, m2 *portmodel.Mapping, keys []string, total, 
 	var rec func(start, remaining, distinct int) (portmodel.Experiment, float64, float64, error)
 	rec = func(start, remaining, distinct int) (portmodel.Experiment, float64, float64, error) {
 		if remaining == 0 {
-			t1, err := in.modelTInv(m1, e)
+			t1, err := m1.InverseThroughputBounded(e, in.Rmax)
 			if err != nil {
 				return nil, 0, 0, err
 			}
-			t2, err := in.modelTInv(m2, e)
+			t2, err := m2.InverseThroughputBounded(e, in.Rmax)
 			if err != nil {
 				return nil, 0, 0, err
 			}

@@ -44,8 +44,8 @@ type Propagator struct {
 
 // NewPropagator compiles the instance's µop structure and interns the
 // experiments. It fails on experiments mentioning keys outside the
-// instance (the find loops fall back to the reference evaluator in
-// that case, preserving the reference error behavior).
+// instance or carrying negative counts, with the reference
+// evaluator's error strings; the find loops return that error.
 func (in *Instance) NewPropagator(exps []MeasuredExp) (*Propagator, error) {
 	keys := in.keys()
 	keyIdx := make(map[string]int32, len(keys))
@@ -103,8 +103,9 @@ func (p *Propagator) load(byUop []portmodel.PortSet) {
 }
 
 // check evaluates every experiment against the loaded candidate and
-// returns the violations, reusing the propagator's buffer. The
-// tolerance comparison is identical to the reference checkExps.
+// returns the violations ("too slow" = model above measurement),
+// reusing the propagator's buffer. An empty result means the
+// candidate is consistent.
 func (p *Propagator) check() []violation {
 	out := p.violBuf[:0]
 	for i := range p.vecs {

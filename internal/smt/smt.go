@@ -342,61 +342,23 @@ func (in *Instance) mappingFromPorts(byUop []portmodel.PortSet) *portmodel.Mappi
 	return m
 }
 
-// modelTInv is the model-predicted inverse throughput with the
-// frontend bottleneck applied (§3.4).
-func (in *Instance) modelTInv(m *portmodel.Mapping, e portmodel.Experiment) (float64, error) {
-	return m.InverseThroughputBounded(e, in.Rmax)
-}
-
 // violation records one experiment the candidate mapping fails.
 type violation struct {
 	idx     int
 	tooSlow bool
 }
 
-// checkExps verifies the mapping against all experiments and returns
-// every violation ("too slow" = model above measurement). An empty
-// result means the mapping is consistent.
-func (in *Instance) checkExps(m *portmodel.Mapping, exps []MeasuredExp) ([]violation, error) {
-	var out []violation
-	for i, me := range exps {
-		t, err := in.modelTInv(m, me.Exp)
-		if err != nil {
-			return nil, err
-		}
-		tol := (in.Epsilon + me.Slack) * float64(me.Exp.Len())
-		switch {
-		case t > me.TInv+tol:
-			out = append(out, violation{idx: i, tooSlow: true})
-		case t < me.TInv-tol:
-			out = append(out, violation{idx: i, tooSlow: false})
-		}
-	}
-	return out, nil
-}
-
 // learnViolations adds one lemma per violated experiment and asserts
 // them into the live solver. Learning all violations at once sharply
 // reduces the number of theory iterations. Too-slow lemmas need the
-// bottleneck witness of the failing candidate: the compiled
-// propagator provides it allocation-free when available, otherwise it
-// is recomputed from the reference evaluator — the two are
-// bit-identical, so the learned lemmas (and with them the whole
-// search trajectory) do not depend on which path ran.
-func (in *Instance) learnViolations(enc *encoding, prop *Propagator, m *portmodel.Mapping, byUop []portmodel.PortSet, exps []MeasuredExp, vs []violation) error {
+// bottleneck witness of the failing candidate, which the compiled
+// propagator provides allocation-free, bit-identical to
+// Mapping.BottleneckWitness.
+func (in *Instance) learnViolations(enc *encoding, prop *Propagator, byUop []portmodel.PortSet, exps []MeasuredExp, vs []violation) error {
 	for _, v := range vs {
 		var err error
 		if v.tooSlow {
-			var q portmodel.PortSet
-			if prop != nil {
-				q = prop.witness(v.idx)
-			} else {
-				q, _, err = m.BottleneckWitness(exps[v.idx].Exp)
-				if err != nil {
-					return err
-				}
-			}
-			err = in.addTooSlowLemma(q, byUop, exps[v.idx].Exp, exps[v.idx].Slack)
+			err = in.addTooSlowLemma(prop.witness(v.idx), byUop, exps[v.idx].Exp, exps[v.idx].Slack)
 		} else {
 			err = in.addTooFastLemma(byUop, exps[v.idx].Exp, exps[v.idx].Slack)
 		}

@@ -1,7 +1,10 @@
 package smt
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"zenport/internal/portmodel"
@@ -400,4 +403,42 @@ func TestFindOtherMappingNilRollsBack(t *testing.T) {
 		exps = append(exps, MeasuredExp{Exp: other.Exp, TInv: tm})
 	}
 	t.Fatal("CEGAR did not converge")
+}
+
+// TestFindRejectsUninternableExperiments: an experiment the propagator
+// cannot intern — a key outside the instance, a negative count — fails
+// both find loops with the evaluator's error before any search, and
+// leaves the lemma store as it found it.
+func TestFindRejectsUninternableExperiments(t *testing.T) {
+	in := toyInstance()
+	// A shared-port measurement refutes the solver's first,
+	// distinct-ports candidate, so the store holds lemmas the failing
+	// queries must not touch.
+	exps := append(toyExps(), MeasuredExp{Exp: portmodel.Experiment{"iA": 1, "iB": 1}, TInv: 2.0})
+	m1, err := in.FindMapping(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.LemmaCount() == 0 {
+		t.Fatal("setup learned no lemma; the store check would be vacuous")
+	}
+	before := in.LemmaRecords()
+	for _, c := range []struct {
+		exp     portmodel.Experiment
+		wantErr string
+	}{
+		{portmodel.Exp("x"), `portmodel: no usage known for "x"`},
+		{portmodel.Experiment{"iA": -1}, `portmodel: negative count for "iA"`},
+	} {
+		bad := append(slices.Clone(exps), MeasuredExp{Exp: c.exp, TInv: 1.0})
+		if _, err := in.FindMappingContext(context.Background(), bad); err == nil || err.Error() != c.wantErr {
+			t.Errorf("FindMappingContext(%v) error %v, want %q", c.exp, err, c.wantErr)
+		}
+		if _, err := in.FindOtherMappingBudget(context.Background(), bad, m1, 2, 4, 100, nil); err == nil || err.Error() != c.wantErr {
+			t.Errorf("FindOtherMappingBudget(%v) error %v, want %q", c.exp, err, c.wantErr)
+		}
+		if got := in.LemmaRecords(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%v: lemma store changed: %d -> %d records", c.exp, len(before), len(got))
+		}
+	}
 }

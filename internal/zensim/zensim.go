@@ -415,42 +415,14 @@ func (m *Machine) xferConflict(distinct map[string]bool) float64 {
 }
 
 // optimalLoads computes the bottleneck value max_Q mass(Q)/|Q| and an
-// optimal per-port load vector achieving it. The load vector is built
-// with a water-filling pass: port sets are processed from most
-// constrained to least constrained, each spreading its mass to
-// equalize the loads of its admissible ports.
+// optimal per-port load vector achieving it. The value comes from
+// portmodel.Bottleneck, the same evaluator the port model uses; the
+// load vector is built with a water-filling pass: port sets are
+// processed from most constrained to least constrained, each
+// spreading its mass to equalize the loads of its admissible ports.
 func optimalLoads(mass map[portmodel.PortSet]float64, numPorts int) (float64, []float64) {
-	// Exact bottleneck value by subset enumeration over used ports.
-	var union portmodel.PortSet
-	for ps, v := range mass {
-		if v > 0 {
-			union |= ps
-		}
-	}
+	_, best := portmodel.Bottleneck(mass)
 	loads := make([]float64, numPorts)
-	if union == 0 {
-		return 0, loads
-	}
-	used := union.Ports()
-	best := 0.0
-	for idx := 1; idx < 1<<uint(len(used)); idx++ {
-		var q portmodel.PortSet
-		for b := range used {
-			if idx&(1<<uint(b)) != 0 {
-				q |= 1 << uint(used[b])
-			}
-		}
-		total := 0.0
-		for ps, v := range mass {
-			if ps.SubsetOf(q) {
-				total += v
-			}
-		}
-		if v := total / float64(q.Size()); v > best {
-			best = v
-		}
-	}
-
 	// Water-filling distribution, highest-pressure port sets first
 	// (pressure = mass per admissible port). Flooded sets place
 	// before flexible µops, so µops that can evade a flooded port do
