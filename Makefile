@@ -86,14 +86,16 @@ bench-smoke:
 # fuzz-smoke runs every fuzz target for 20 s each: the compiled
 # throughput evaluator against the reference, the simplex LP oracle
 # against the bottleneck-set evaluator, checkpoint lemma restoring,
-# and the CDCL solver against brute-force enumeration. Go fuzzes one
-# target of one package per run. A failing input is written under the
-# package's testdata/fuzz directory.
+# the CDCL solver against brute-force enumeration, and the serving
+# request decoder (no panic, no 5xx, every 200 equal to the compiled
+# evaluator). Go fuzzes one target of one package per run. A failing
+# input is written under the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzLPMatchesReference$$' -fuzztime 20s ./internal/lp/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLemmas$$' -fuzztime 20s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveAgainstBruteForce$$' -fuzztime 20s ./internal/sat/
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 20s ./internal/serve/
 
 clean:
 	$(GO) clean ./...

@@ -3,10 +3,13 @@
 // prints the measured counters — median inverse throughput, CPI,
 // retired-op counts (macro-ops on Zen+), and the FP-pipe counters.
 //
-// Kernels are given as comma-separated scheme keys with optional
-// multipliers, e.g.:
+// Kernels are given as ';'-separated scheme keys with optional
+// multipliers; scheme keys contain commas, so commas do not separate
+// terms. '|' separates terms too, so a canonical experiment key from
+// zeninfer's degradation report can be pasted as is. For example:
 //
-//	zenbench -kernel '4*add GPR[32], GPR[32], 1*imul GPR[32], GPR[32]'
+//	zenbench -kernel '4*add GPR[32], GPR[32]; 1*imul GPR[32], GPR[32]'
+//	zenbench -kernel '1*add GPR[32], GPR[32]|1*cmova GPR[16], GPR[16]'
 //	zenbench -list 'vpor'
 package main
 
@@ -18,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -34,7 +36,7 @@ func main() {
 }
 
 func run() error {
-	kernel := flag.String("kernel", "", "kernel: comma-separated 'N*scheme key' terms")
+	kernel := flag.String("kernel", "", "kernel: ';'- or '|'-separated 'N*scheme key' terms")
 	list := flag.String("list", "", "list scheme keys containing this substring")
 	seed := flag.Int64("seed", 2600, "noise seed")
 	noise := flag.Float64("noise", 0.001, "relative measurement noise")
@@ -63,9 +65,14 @@ func run() error {
 		return fmt.Errorf("specify -kernel or -list")
 	}
 
-	e, err := parseKernel(*kernel)
+	// Canonical experiment keys ("1*a|2*b", as zeninfer's degradation
+	// report prints them) are accepted as well.
+	e, err := zenport.ParseKernel(strings.ReplaceAll(*kernel, "|", ";"))
 	if err != nil {
 		return err
+	}
+	if e.Len() == 0 {
+		return fmt.Errorf("empty kernel %q", *kernel)
 	}
 	// Unknown scheme keys are user input, not bugs: report them with
 	// suggestions and exit 1 instead of dumping a stack trace.
@@ -163,41 +170,6 @@ func run() error {
 		fmt.Printf("model IPC:         %.4f\n", ipc)
 	}
 	return nil
-}
-
-// parseKernel parses "4*key1, key2" into an experiment. Scheme keys
-// themselves contain commas ("add GPR[32], GPR[32]"), so terms are
-// split on commas NOT followed by a space-operand continuation: we
-// instead split on ';' if present, else try the comma heuristic.
-func parseKernel(s string) (zenport.Experiment, error) {
-	sep := ";"
-	if !strings.Contains(s, ";") {
-		sep = "|"
-		if !strings.Contains(s, "|") {
-			// Single term.
-			sep = "\x00"
-		}
-	}
-	terms := strings.Split(s, sep)
-	e := zenport.Experiment{}
-	for _, t := range terms {
-		t = strings.TrimSpace(t)
-		if t == "" {
-			continue
-		}
-		count := 1
-		if i := strings.Index(t, "*"); i > 0 {
-			if n, err := strconv.Atoi(strings.TrimSpace(t[:i])); err == nil {
-				count = n
-				t = strings.TrimSpace(t[i+1:])
-			}
-		}
-		e[t] += count
-	}
-	if e.Len() == 0 {
-		return nil, fmt.Errorf("empty kernel %q", s)
-	}
-	return e, nil
 }
 
 func sortedKeys(e zenport.Experiment) []string {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,9 +50,12 @@ func main() {
 	fmt.Printf("mapping over %d ports, %d schemes\n", m.NumPorts, len(m.Usage))
 
 	if *predict != "" {
-		e, err := parseKernel(*predict)
+		e, err := zenport.ParseKernel(*predict)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if e.Len() == 0 {
+			log.Fatalf("empty kernel %q", *predict)
 		}
 		// Unknown scheme keys are user input: report them with
 		// suggestions and exit 1 instead of a bare lookup failure.
@@ -101,26 +103,4 @@ func main() {
 	if *compare {
 		fmt.Printf("\n%d/%d schemes match the ground truth exactly (port-renaming not applied)\n", exact, matches)
 	}
-}
-
-func parseKernel(s string) (zenport.Experiment, error) {
-	e := zenport.Experiment{}
-	for _, t := range strings.Split(s, ";") {
-		t = strings.TrimSpace(t)
-		if t == "" {
-			continue
-		}
-		count := 1
-		if i := strings.Index(t, "*"); i > 0 {
-			if n, err := strconv.Atoi(strings.TrimSpace(t[:i])); err == nil {
-				count = n
-				t = strings.TrimSpace(t[i+1:])
-			}
-		}
-		e[t] += count
-	}
-	if e.Len() == 0 {
-		return nil, fmt.Errorf("empty kernel %q", s)
-	}
-	return e, nil
 }

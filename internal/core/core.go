@@ -244,8 +244,6 @@ type Options struct {
 	// recovery, preserving the §4.3 anomaly-isolation behavior
 	// exactly.
 	MaxSlack float64
-	// SlackStep is the per-relaxation slack increment (0 means 0.25).
-	SlackStep float64
 	// Checkpointer, if non-nil, persists each completed stage's
 	// outcome (and each completed stage-4 run's votes) so an
 	// interrupted run can be resumed.
@@ -441,23 +439,12 @@ func (p *Pipeline) retryUnresolved(ctx context.Context, rep *Report) error {
 		p.logf("resume: %d unresolved scheme(s), but still no usable blocking suite; leaving them unresolved", len(rep.Unresolved))
 		return nil
 	}
-	blockerSet := map[string]bool{}
-	for _, b := range blockers {
-		blockerSet[b.key] = true
-	}
+	blockerSet := blockerKeys(blockers)
 	var todo []string
 	for _, key := range rep.Unresolved {
-		info, ok := rep.Info[key]
-		if !ok || info.NoPorts || blockerSet[key] {
-			continue
+		if p.characterizable(rep, blockerSet, key) {
+			todo = append(todo, key)
 		}
-		if _, isBlocked := rep.BlockerMapping.Usage[key]; isBlocked {
-			continue
-		}
-		if p.Opts.CharacterizeFilter != nil && !p.Opts.CharacterizeFilter(key) {
-			continue
-		}
-		todo = append(todo, key)
 	}
 	if len(todo) == 0 {
 		return nil
@@ -469,29 +456,8 @@ func (p *Pipeline) retryUnresolved(ctx context.Context, rep *Report) error {
 	p.logf("resume: retrying %d unresolved scheme(s) with %d fresh characterization run(s)", len(todo), runs)
 	results := make(map[string][]runResult, len(todo))
 	for r := 0; r < runs; r++ {
-		p.H.BeginGeneration(uint64(retryGenBase + r))
-		var grid []portmodel.Experiment
-		for _, key := range todo {
-			info := rep.Info[key]
-			for _, b := range blockers {
-				k := blockCount(b.pu.Size(), info.UopsPostulated, info.TInv)
-				grid = append(grid,
-					portmodel.Experiment{b.key: k},
-					portmodel.Experiment{b.key: k, key: 1})
-			}
-		}
-		if _, err := p.H.MeasureBatch(ctx, grid); err != nil {
+		if err := p.characterizeRun(ctx, rep, todo, blockers, results, uint64(retryGenBase+r), r == 0); err != nil {
 			return err
-		}
-		for _, key := range todo {
-			found, witnesses, ok, err := p.characterizeOne(ctx, rep, key, blockers)
-			if err != nil {
-				return err
-			}
-			results[key] = append(results[key], runResult{found: found, ok: ok})
-			if r == 0 && ok {
-				rep.CharWitnesses[key] = witnesses
-			}
 		}
 	}
 	failed := map[string]bool{}

@@ -153,10 +153,9 @@ func (p *Pipeline) queryBudget() *sat.Budget {
 // recovery is enabled — re-measurement through the engine.
 func (p *Pipeline) superviseOpts(ctx context.Context) smt.SuperviseOptions {
 	opts := smt.SuperviseOptions{
-		Budget:    p.queryBudget(),
-		MaxSlack:  p.Opts.MaxSlack,
-		SlackStep: p.Opts.SlackStep,
-		Log:       p.Opts.Log,
+		Budget:   p.queryBudget(),
+		MaxSlack: p.Opts.MaxSlack,
+		Log:      p.Opts.Log,
 		QualityOf: func(e portmodel.Experiment) float64 {
 			// Cache hit for anything stage 3 measured; the robust
 			// spread ranks trustworthiness.

@@ -35,24 +35,14 @@ type runResult struct {
 func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 	blockers := p.stage4Blockers(rep)
 
-	// Collect the schemes to characterize: measured, not excluded,
-	// not blockers themselves.
-	blockerSet := map[string]bool{}
-	for _, b := range blockers {
-		blockerSet[b.key] = true
-	}
+	// Collect the schemes to characterize: not excluded, and
+	// characterizable against this blocking suite.
+	blockerSet := blockerKeys(blockers)
 	var todo []string
-	for key, info := range rep.Info {
-		if rep.Excluded[key] != "" || blockerSet[key] || info.NoPorts {
-			continue
+	for key := range rep.Info {
+		if rep.Excluded[key] == "" && p.characterizable(rep, blockerSet, key) {
+			todo = append(todo, key)
 		}
-		if _, isBlocked := rep.BlockerMapping.Usage[key]; isBlocked {
-			continue
-		}
-		if p.Opts.CharacterizeFilter != nil && !p.Opts.CharacterizeFilter(key) {
-			continue
-		}
-		todo = append(todo, key)
 	}
 	sort.Strings(todo)
 
@@ -89,40 +79,13 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 				continue
 			}
 		}
-		// Each run measures under its own named cache generation (run
-		// 0 shares generation 0 with stages 1–3, runs r>0 get fresh
-		// measurements). Naming generations explicitly — rather than
-		// just clearing the cache — lets a resumed run land in the
-		// same generation, and thus the same persisted measurements,
-		// as the interrupted one.
-		p.H.BeginGeneration(uint64(r))
-		// Prefetch the run's entire scheme×blocker grid — every flood
-		// kernel and every flood+scheme kernel — as one batch. The
-		// grid is computable up front (block counts depend only on
-		// stage-1 data), duplicates coalesce in the engine, and
-		// characterizeOne below is then answered from cache.
-		var grid []portmodel.Experiment
-		for _, key := range todo {
-			info := rep.Info[key]
-			for _, b := range blockers {
-				k := blockCount(b.pu.Size(), info.UopsPostulated, info.TInv)
-				grid = append(grid,
-					portmodel.Experiment{b.key: k},
-					portmodel.Experiment{b.key: k, key: 1})
-			}
-		}
-		if _, err := p.H.MeasureBatch(ctx, grid); err != nil {
+		// Run 0 shares cache generation 0 with stages 1–3; runs r>0
+		// get fresh measurements. Naming generations explicitly —
+		// rather than just clearing the cache — lets a resumed run land
+		// in the same generation, and thus the same persisted
+		// measurements, as the interrupted one.
+		if err := p.characterizeRun(ctx, rep, todo, blockers, results, uint64(r), r == 0); err != nil {
 			return err
-		}
-		for _, key := range todo {
-			found, witnesses, ok, err := p.characterizeOne(ctx, rep, key, blockers)
-			if err != nil {
-				return err
-			}
-			results[key] = append(results[key], runResult{found: found, ok: ok})
-			if r == 0 && ok {
-				rep.CharWitnesses[key] = witnesses
-			}
 		}
 		if err := p.saveStage4Run(name, r, todo, results, rep); err != nil {
 			return err
@@ -140,6 +103,67 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 	sort.Strings(rep.Unresolved)
 
 	rep.Final = p.assembleFinal(rep)
+	return nil
+}
+
+// blockerKeys returns the keys of a blocking suite as a set.
+func blockerKeys(blockers []blockerDesc) map[string]bool {
+	set := make(map[string]bool, len(blockers))
+	for _, b := range blockers {
+		set[b.key] = true
+	}
+	return set
+}
+
+// characterizable reports whether stage 4 can characterize key against
+// the blocking suite blockerSet: a measured scheme that uses ports, is
+// neither a blocker itself nor covered by the blocker mapping, and
+// passes CharacterizeFilter.
+func (p *Pipeline) characterizable(rep *Report, blockerSet map[string]bool, key string) bool {
+	info, ok := rep.Info[key]
+	if !ok || info.NoPorts || blockerSet[key] {
+		return false
+	}
+	if _, isBlocked := rep.BlockerMapping.Usage[key]; isBlocked {
+		return false
+	}
+	return p.Opts.CharacterizeFilter == nil || p.Opts.CharacterizeFilter(key)
+}
+
+// characterizeRun is one characterization run over todo, measured
+// under cache generation gen: it appends each scheme's outcome to
+// results and, when keepWitnesses is set, records the witnesses of
+// every scheme it characterizes.
+func (p *Pipeline) characterizeRun(ctx context.Context, rep *Report, todo []string, blockers []blockerDesc, results map[string][]runResult, gen uint64, keepWitnesses bool) error {
+	p.H.BeginGeneration(gen)
+	// Prefetch the run's entire scheme×blocker grid — every flood
+	// kernel and every flood+scheme kernel — as one batch. The grid is
+	// computable up front (block counts depend only on stage-1 data),
+	// duplicates coalesce in the engine, and characterizeOne below is
+	// then answered from cache.
+	var grid []portmodel.Experiment
+	for _, key := range todo {
+		info := rep.Info[key]
+		for _, b := range blockers {
+			k := blockCount(b.pu.Size(), info.UopsPostulated, info.TInv)
+			grid = append(grid,
+				portmodel.Experiment{b.key: k},
+				portmodel.Experiment{b.key: k, key: 1})
+		}
+	}
+	if _, err := p.H.MeasureBatch(ctx, grid); err != nil {
+		return err
+	}
+	for _, key := range todo {
+		found, witnesses, ok, err := p.characterizeOne(ctx, rep, key, blockers)
+		if err != nil {
+			return err
+		}
+		results[key] = append(results[key], runResult{found: found, ok: ok})
+		if keepWitnesses && ok {
+			rep.CharWitnesses[key] = witnesses
+		}
+	}
 	return nil
 }
 
@@ -256,8 +280,8 @@ func improperOwnPorts(rep *Report, usage portmodel.Usage) (portmodel.PortSet, bo
 }
 
 // characterizeOne runs Algorithm 1 (adapted per §3.1) for one scheme.
-// Its measurements were prefetched by stage4's grid batch, so the
-// engine answers from cache.
+// Its measurements were prefetched by characterizeRun's grid batch,
+// so the engine answers from cache.
 func (p *Pipeline) characterizeOne(ctx context.Context, rep *Report, key string, blockers []blockerDesc) (map[portmodel.PortSet]int, []Witness, bool, error) {
 	info := rep.Info[key]
 	found := map[portmodel.PortSet]int{}

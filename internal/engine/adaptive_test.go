@@ -99,7 +99,7 @@ func TestEscalationQuarantineLowConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("low-quality measurement must degrade, not fail: %v", err)
 	}
-	// Reps (11) → escalate to MaxReps (33) → one quarantine batch (44).
+	// Reps (11) → escalate to 3×Reps (33) → one quarantine batch (44).
 	if r.Runs != 44 {
 		t.Fatalf("Runs = %d, want 44 (cap plus quarantine batch)", r.Runs)
 	}

@@ -276,11 +276,6 @@ type Engine struct {
 	// default). It changes measured results, so it is part of the
 	// fingerprint.
 	QualitySpread float64
-	// MaxReps caps the adaptive escalation (0 means 3×Reps). A
-	// measurement still missing the quality target at the cap is
-	// quarantined — granted one extra batch of Reps samples — and
-	// then flagged low-confidence rather than failed.
-	MaxReps int
 	// BackoffBase is the first retry delay after a transient error;
 	// subsequent attempts double it up to BackoffMax, with
 	// deterministic per-kernel jitter. 0 means 100µs; negative
@@ -288,10 +283,6 @@ type Engine struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff delay (0 means 10ms).
 	BackoffMax time.Duration
-	// OnProgress, if non-nil, receives (completed, total) after each
-	// unique experiment of a batch finishes. It is called from
-	// worker goroutines and must be safe for concurrent use.
-	OnProgress func(done, total int)
 	// Persist, if non-nil, receives every newly executed result and
 	// warms the cache across generation switches; see PersistHook.
 	// Set it before the first measurement (persist.Store.Attach does).
@@ -332,6 +323,12 @@ type Engine struct {
 	backoffNano atomic.Int64
 	remeasured  atomic.Uint64
 }
+
+// maxRepsFactor caps the adaptive escalation at maxRepsFactor×Reps
+// samples. A measurement still missing the quality target at the cap
+// is quarantined — granted one extra batch of Reps samples — and then
+// flagged low-confidence rather than failed.
+const maxRepsFactor = 3
 
 // New returns an engine with the paper's measurement parameters: 11
 // repetitions, 100 iterations per run, ε = 0.02 CPI, GOMAXPROCS
@@ -461,7 +458,6 @@ func (g *Engine) MeasureBatch(ctx context.Context, exps []portmodel.Experiment) 
 		firstErr error
 		errOnce  sync.Once
 		wg       sync.WaitGroup
-		done     atomic.Int64
 		jobs     = make(chan *job)
 	)
 	fail := func(err error) {
@@ -482,10 +478,6 @@ func (g *Engine) MeasureBatch(ctx context.Context, exps []portmodel.Experiment) 
 				}
 				for _, i := range j.idxs {
 					results[i] = r
-				}
-				n := done.Add(1)
-				if g.OnProgress != nil {
-					g.OnProgress(int(n), len(order))
 				}
 			}
 		}()
@@ -590,10 +582,10 @@ type sample struct {
 
 // execute runs the experiment adaptively: an initial batch of Reps
 // samples, MAD-based outlier rejection, then escalating repetitions
-// (up to MaxReps, plus one quarantine batch) until the robust spread
-// of the surviving samples falls under QualitySpread. Measurements
-// that never get there are flagged low-confidence, not failed. ctx is
-// checked between repetitions.
+// (up to maxRepsFactor×Reps, plus one quarantine batch) until the
+// robust spread of the surviving samples falls under QualitySpread.
+// Measurements that never get there are flagged low-confidence, not
+// failed. ctx is checked between repetitions.
 //
 // Every decision in this loop — rejection, escalation, quarantine —
 // depends only on the samples of this kernel, which themselves depend
@@ -609,13 +601,7 @@ func (g *Engine) execute(ctx context.Context, e portmodel.Experiment) (Result, e
 	if iters < 1 {
 		iters = 100
 	}
-	maxReps := g.MaxReps
-	if maxReps < 1 {
-		maxReps = 3 * reps
-	}
-	if maxReps < reps {
-		maxReps = reps
-	}
+	maxReps := maxRepsFactor * reps
 	qspread := g.QualitySpread
 	if qspread == 0 {
 		qspread = 0.05
@@ -947,12 +933,8 @@ func (g *Engine) Fingerprint() string {
 	if qspread == 0 {
 		qspread = 0.05
 	}
-	maxReps := g.MaxReps
-	if maxReps < 1 {
-		maxReps = 3 * g.Reps
-	}
 	return fmt.Sprintf("engine:v2 reps=%d iters=%d eps=%g qspread=%g maxreps=%d",
-		g.Reps, g.Iterations, g.Epsilon, qspread, maxReps)
+		g.Reps, g.Iterations, g.Epsilon, qspread, maxRepsFactor*g.Reps)
 }
 
 // CacheGeneration returns the current cache generation.

@@ -223,27 +223,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestProgressHook(t *testing.T) {
-	g := engine.New(newSeqProc())
-	g.Workers = 3
-	var done atomic.Int64
-	var sawTotal atomic.Int64
-	g.OnProgress = func(d, total int) {
-		done.Add(1)
-		sawTotal.Store(int64(total))
-	}
-	exps := []portmodel.Experiment{{"a": 1}, {"b": 1}, {"c": 1}, {"a": 1}}
-	if _, err := g.MeasureBatch(context.Background(), exps); err != nil {
-		t.Fatal(err)
-	}
-	if done.Load() != 3 {
-		t.Fatalf("OnProgress called %d times, want 3 (unique experiments)", done.Load())
-	}
-	if sawTotal.Load() != 3 {
-		t.Fatalf("total = %d, want 3", sawTotal.Load())
-	}
-}
-
 func TestConcurrentMeasureSharedEngine(t *testing.T) {
 	// Regression for the pre-engine data race: many goroutines
 	// hammering one engine with overlapping experiments (run under
@@ -294,8 +273,17 @@ func TestEmptyExperimentRejected(t *testing.T) {
 }
 
 func TestCanonicalKeyAndMedians(t *testing.T) {
-	if k := engine.CanonicalKey(portmodel.Experiment{"b": 2, "a": 1}); k != "1*a|2*b" {
-		t.Fatalf("CanonicalKey = %q", k)
+	for _, c := range []struct {
+		e    portmodel.Experiment
+		want string
+	}{
+		{portmodel.Experiment{"b": 2, "a": 1}, "1*a|2*b"},
+		{portmodel.Experiment{"a": 1, "b": 2}, "1*a|2*b"},
+		{portmodel.Experiment{"a": 2, "b": 2}, "2*a|2*b"},
+	} {
+		if k := engine.CanonicalKey(c.e); k != c.want {
+			t.Fatalf("CanonicalKey(%v) = %q, want %q", c.e, k, c.want)
+		}
 	}
 	// Median behaviour is pinned via measurement results: 11 reps of
 	// the seqProc jitter sequence must reduce to the median element.

@@ -200,6 +200,11 @@ func TestWarmCacheIgnoresUnmeasured(t *testing.T) {
 func TestFingerprintCoversMeasurementConfig(t *testing.T) {
 	base := func() *engine.Engine { return engine.New(newSeqProc()) }
 	fp := base().Fingerprint()
+	// Caches written by earlier builds stay valid only while the
+	// default fingerprint keeps these bytes.
+	if want := "engine:v2 reps=11 iters=100 eps=0.02 qspread=0.05 maxreps=33"; fp != want {
+		t.Fatalf("default fingerprint %q, want %q", fp, want)
+	}
 
 	mutations := map[string]func(*engine.Engine){
 		"Reps":       func(g *engine.Engine) { g.Reps++ },

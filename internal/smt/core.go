@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 
+	"zenport/internal/engine"
 	"zenport/internal/sat"
 )
 
@@ -218,7 +219,7 @@ func CoreKeys(exps []MeasuredExp, c *Core) []string {
 	}
 	out := make([]string, 0, len(c.Indices))
 	for _, i := range c.Indices {
-		out = append(out, ExpKey(exps[i].Exp))
+		out = append(out, engine.CanonicalKey(exps[i].Exp))
 	}
 	return out
 }

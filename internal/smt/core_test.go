@@ -203,14 +203,3 @@ func TestUnsatCoreBudgetExhaustion(t *testing.T) {
 		t.Fatalf("err = %v, want budget exhaustion", err)
 	}
 }
-
-func TestExpKeyCanonical(t *testing.T) {
-	a := portmodel.Experiment{"iB": 2, "iA": 1}
-	b := portmodel.Experiment{"iA": 1, "iB": 2}
-	if ExpKey(a) != ExpKey(b) {
-		t.Fatalf("keys differ: %q vs %q", ExpKey(a), ExpKey(b))
-	}
-	if ExpKey(a) == ExpKey(portmodel.Experiment{"iA": 2, "iB": 2}) {
-		t.Fatal("distinct experiments share a key")
-	}
-}

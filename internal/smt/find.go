@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
@@ -33,19 +34,6 @@ type QueryStats struct {
 	BudgetExhausted uint64 `json:"budget_exhausted,omitempty"`
 	// Solver totals the CDCL counters of every query's SAT solver.
 	Solver sat.Stats `json:"solver"`
-}
-
-// Add folds another accumulator into this one.
-func (q *QueryStats) Add(o QueryStats) {
-	q.Queries += o.Queries
-	q.TheoryIterations += o.TheoryIterations
-	q.LemmasLearned += o.LemmasLearned
-	q.BudgetExhausted += o.BudgetExhausted
-	q.Solver.Propagations += o.Solver.Propagations
-	q.Solver.Conflicts += o.Solver.Conflicts
-	q.Solver.Decisions += o.Solver.Decisions
-	q.Solver.Restarts += o.Solver.Restarts
-	q.Solver.Learned += o.Solver.Learned
 }
 
 // noteQuery folds one finished query's solver counters into the
@@ -194,17 +182,11 @@ func (in *Instance) FindOtherMapping(exps []MeasuredExp, m1 *portmodel.Mapping, 
 	return in.FindOtherMappingBudget(context.Background(), exps, m1, maxDistinct, maxTotal, maxCandidates, nil)
 }
 
-// FindOtherMappingContext is FindOtherMapping with cancellation,
-// checking ctx between candidate-enumeration iterations and at the
-// CDCL loop's restart boundaries.
-func (in *Instance) FindOtherMappingContext(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int) (*OtherMapping, error) {
-	return in.FindOtherMappingBudget(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates, nil)
-}
-
-// FindOtherMappingBudget is FindOtherMappingContext under a solver
-// budget shared by every SAT search of the enumeration (nil =
-// unlimited); exhaustion surfaces as an error matching
-// sat.ErrBudgetExhausted.
+// FindOtherMappingBudget is FindOtherMapping with cancellation and a
+// solver budget shared by every SAT search of the enumeration (nil =
+// unlimited). ctx is checked between candidate-enumeration iterations
+// and at the CDCL loop's restart boundaries; budget exhaustion
+// surfaces as an error matching sat.ErrBudgetExhausted.
 //
 // Unlike FindMappingBudget it is transactional over the lemma store:
 // any outcome without a found OtherMapping rolls the store back to
@@ -269,11 +251,10 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 		m2 := in.mappingFromPorts(byUop)
 		candidates++
 		// m2 is consistent. Indistinguishable permutations of m1 are
-		// skipped outright.
+		// skipped outright; the rest are evaluated on prop.comp, which
+		// holds m2's port sets since prop.load.
 		if !sameUsage(m1, m2) && !m1.Isomorphic(m2) {
-			if exp, t1, t2, err := in.distinguishPre(m1, m2, cands); err != nil {
-				return nil, err
-			} else if exp != nil {
+			if exp, t1, t2 := in.distinguishPre(m1, m2, prop.comp, cands); exp != nil {
 				return &OtherMapping{Mapping: m2, Exp: exp, T1: t1, T2: t2}, nil
 			}
 		}
@@ -299,84 +280,74 @@ func sameUsage(a, b *portmodel.Mapping) bool {
 	return true
 }
 
-// candExp is a pre-enumerated candidate experiment with its m1 value.
+// candExp is a pre-enumerated candidate experiment: its dense weight
+// vector over the instance keys, its instruction count, and its model
+// value under m1.
 type candExp struct {
-	exp portmodel.Experiment
-	t1  float64
+	exp   portmodel.Experiment
+	w     []int32
+	total int
+	t1    float64
 }
 
 // candidateExps enumerates all experiments within the stratified
-// bounds, ordered by total size, annotated with their model value
-// under m1.
+// bounds, ordered by total size, interns each once into a weight
+// vector indexed like in.keys() — the layout of every evaluator
+// compiled over those keys, the propagator's included — and
+// annotates it with its value under m1. It fails when m1 has no usage
+// for some instance key.
 func (in *Instance) candidateExps(m1 *portmodel.Mapping, maxDistinct, maxTotal int) ([]candExp, error) {
 	keys := in.keys()
-	// Compile m1 once over the instance's key universe; the whole
-	// stratified enumeration then evaluates through one allocation-free
-	// evaluator. Mappings missing a key cannot compile and use the
-	// reference path, which reports the same error on first use.
-	comp, _ := portmodel.CompileMapping(m1, keys)
-	var wbuf []int32
-	eval := func(e portmodel.Experiment) (float64, error) {
-		if comp != nil {
-			w, total, err := comp.WeightVector(e, wbuf)
-			if err == nil {
-				wbuf = w
-				return comp.InverseThroughputBoundedWeights(w, total, in.Rmax), nil
-			}
-		}
-		return m1.InverseThroughputBounded(e, in.Rmax)
+	comp, err := portmodel.CompileMapping(m1, keys)
+	if err != nil {
+		return nil, err
 	}
 	var out []candExp
-	for total := 1; total <= maxTotal; total++ {
-		e := make(portmodel.Experiment)
-		var rec func(start, remaining, distinct int) error
-		rec = func(start, remaining, distinct int) error {
-			if remaining == 0 {
-				t1, err := eval(e)
-				if err != nil {
-					return err
-				}
-				out = append(out, candExp{exp: e.Clone(), t1: t1})
-				return nil
-			}
-			if start >= len(keys) || distinct == 0 {
-				return nil
-			}
-			for i := start; i < len(keys); i++ {
-				for c := 1; c <= remaining; c++ {
-					e[keys[i]] = c
-					if err := rec(i+1, remaining-c, distinct-1); err != nil {
-						return err
-					}
-					delete(e, keys[i])
-				}
-			}
-			return nil
+	e := make(portmodel.Experiment)
+	w := make([]int32, len(keys))
+	total := 0
+	var rec func(start, remaining, distinct int)
+	rec = func(start, remaining, distinct int) {
+		if remaining == 0 {
+			cw := slices.Clone(w)
+			out = append(out, candExp{exp: e.Clone(), w: cw, total: total, t1: comp.InverseThroughputBoundedWeights(cw, total, in.Rmax)})
+			return
 		}
-		if err := rec(0, total, maxDistinct); err != nil {
-			return nil, err
+		if distinct == 0 {
+			return
 		}
+		for i := start; i < len(keys); i++ {
+			for c := 1; c <= remaining; c++ {
+				e[keys[i]], w[i] = c, int32(c)
+				rec(i+1, remaining-c, distinct-1)
+			}
+			delete(e, keys[i])
+			w[i] = 0
+		}
+	}
+	for total = 1; total <= maxTotal; total++ {
+		rec(0, total, maxDistinct)
 	}
 	return out, nil
 }
 
-// distinguishPre searches the pre-enumerated experiments for one that
-// distinguishes m2 from m1, skipping experiments that do not involve
-// any instruction on which the two mappings differ.
-func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, cands []candExp) (portmodel.Experiment, float64, float64, error) {
-	diff := map[string]bool{}
-	for k, u := range m1.Usage {
-		if v, ok := m2.Usage[k]; !ok || !u.Equal(v) {
-			diff[k] = true
-		}
+// distinguishPre searches the pre-enumerated experiments, in order,
+// for the first one whose values under m1 and m2 differ by more than
+// 2ε·|e|. comp2 evaluates m2 compiled over the instance keys; it is
+// the propagator's evaluator in the CEGAR loop. Experiments that
+// involve no instruction on which the two mappings differ have equal
+// values and are skipped.
+func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, comp2 *portmodel.Compiled, cands []candExp) (portmodel.Experiment, float64, float64) {
+	keys := comp2.Keys()
+	diff := make([]bool, len(keys))
+	for i, k := range keys {
+		diff[i] = !m1.Usage[k].Equal(m2.Usage[k])
 	}
 	need := 2 * in.Epsilon
-	comp2, _ := portmodel.CompileMapping(m2, in.keys())
-	var wbuf []int32
 	for _, c := range cands {
 		touches := false
-		for k := range c.exp {
-			if diff[k] {
+		for i, n := range c.w {
+			if n != 0 && diff[i] {
 				touches = true
 				break
 			}
@@ -384,84 +355,30 @@ func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, cands []candExp) (
 		if !touches {
 			continue
 		}
-		var t2 float64
-		var err error
-		if comp2 != nil {
-			var w []int32
-			var total int
-			if w, total, err = comp2.WeightVector(c.exp, wbuf); err == nil {
-				wbuf = w
-				t2 = comp2.InverseThroughputBoundedWeights(w, total, in.Rmax)
-			}
-		}
-		if comp2 == nil || err != nil {
-			t2, err = m2.InverseThroughputBounded(c.exp, in.Rmax)
-		}
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if abs(c.t1-t2) > need*float64(c.exp.Len()) {
-			return c.exp.Clone(), c.t1, t2, nil
+		t2 := comp2.InverseThroughputBoundedWeights(c.w, c.total, in.Rmax)
+		if abs(c.t1-t2) > need*float64(c.total) {
+			return c.exp.Clone(), c.t1, t2
 		}
 	}
-	return nil, 0, 0, nil
+	return nil, 0, 0
 }
 
 // distinguish searches an experiment whose modeled inverse
 // throughputs under m1 and m2 differ by more than 2ε·|e|, in
-// stratified order of experiment size. It is the unmemoized variant
-// of distinguishPre, kept for single-shot queries.
+// stratified order of experiment size. It is the single-shot form of
+// the search findOtherMapping runs, over the same enumeration and
+// evaluator.
 func (in *Instance) distinguish(m1, m2 *portmodel.Mapping, maxDistinct, maxTotal int) (portmodel.Experiment, float64, float64, error) {
-	keys := in.keys()
-	need := 2 * in.Epsilon
-	for total := 1; total <= maxTotal; total++ {
-		found, t1, t2, err := in.searchSize(m1, m2, keys, total, maxDistinct, need)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if found != nil {
-			return found, t1, t2, nil
-		}
+	cands, err := in.candidateExps(m1, maxDistinct, maxTotal)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return nil, 0, 0, nil
-}
-
-// searchSize enumerates experiments of exactly the given total size
-// with at most maxDistinct distinct instructions.
-func (in *Instance) searchSize(m1, m2 *portmodel.Mapping, keys []string, total, maxDistinct int, need float64) (portmodel.Experiment, float64, float64, error) {
-	e := make(portmodel.Experiment)
-	var rec func(start, remaining, distinct int) (portmodel.Experiment, float64, float64, error)
-	rec = func(start, remaining, distinct int) (portmodel.Experiment, float64, float64, error) {
-		if remaining == 0 {
-			t1, err := m1.InverseThroughputBounded(e, in.Rmax)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			t2, err := m2.InverseThroughputBounded(e, in.Rmax)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if abs(t1-t2) > need*float64(total) {
-				return e.Clone(), t1, t2, nil
-			}
-			return nil, 0, 0, nil
-		}
-		if start >= len(keys) || distinct == 0 {
-			return nil, 0, 0, nil
-		}
-		for i := start; i < len(keys); i++ {
-			for c := 1; c <= remaining; c++ {
-				e[keys[i]] = c
-				found, t1, t2, err := rec(i+1, remaining-c, distinct-1)
-				delete(e, keys[i])
-				if err != nil || found != nil {
-					return found, t1, t2, err
-				}
-			}
-		}
-		return nil, 0, 0, nil
+	comp2, err := portmodel.CompileMapping(m2, in.keys())
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return rec(0, total, maxDistinct)
+	e, t1, t2 := in.distinguishPre(m1, m2, comp2, cands)
+	return e, t1, t2, nil
 }
 
 func abs(x float64) float64 {

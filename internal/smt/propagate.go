@@ -13,10 +13,11 @@ import (
 // Checking a candidate model then costs one SetUopPorts per µop plus
 // one allocation-free bottleneck evaluation per experiment — no
 // string-keyed maps, no per-call µop-mass rebuild, zero steady-state
-// allocations. The find loops construct one Propagator per query; it
-// is also exported for zenportd-style servers and benchmarks that
-// repeatedly re-check candidate mappings against a fixed experiment
-// set. Results are bit-identical to the reference evaluator
+// allocations. The find loops construct one Propagator per query and
+// also run the uniqueness search's m2 evaluations on its compiled
+// form; it is exported for BenchmarkSMTPropagation, which re-checks
+// candidate mappings against a fixed experiment set. Results are
+// bit-identical to the reference evaluator
 // (portmodel.Mapping.InverseThroughputBounded), witnesses included,
 // so swapping it into the DPLL(T) loop preserves the exact search
 // trajectory and the final mapping.
@@ -86,9 +87,6 @@ func (in *Instance) NewPropagator(exps []MeasuredExp) (*Propagator, error) {
 	return p, nil
 }
 
-// NumUops returns the number of µops of the underlying instance.
-func (p *Propagator) NumUops() int { return len(p.byUop) }
-
 // SetUopPorts loads µop u's candidate port set.
 func (p *Propagator) SetUopPorts(u int, ps portmodel.PortSet) {
 	p.byUop[u] = ps
@@ -122,7 +120,7 @@ func (p *Propagator) check() []violation {
 }
 
 // Violations counts the experiments the loaded candidate fails. It
-// is the exported benchmark/server entry point.
+// is the exported benchmark entry point.
 func (p *Propagator) Violations() int { return len(p.check()) }
 
 // witness returns the bottleneck witness of experiment i under the

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
@@ -300,14 +299,6 @@ func (in *Instance) addLexGE(enc *encoding, a, b int) error {
 	return nil
 }
 
-// decode reads a mapping out of a satisfying model, together with the
-// per-µop-index port sets (needed for exact lemma attribution: the
-// Mapping merges µops with equal port sets, the index view does not).
-func (in *Instance) decode(enc *encoding) (*portmodel.Mapping, []portmodel.PortSet) {
-	byUop := in.decodePorts(enc, nil)
-	return in.mappingFromPorts(byUop), byUop
-}
-
 // decodePorts reads only the per-µop port sets out of a satisfying
 // model, reusing buf when it has the right length — the hot loops
 // avoid building the string-keyed Mapping for candidates that are
@@ -376,15 +367,6 @@ func (in *Instance) learnViolations(enc *encoding, prop *Propagator, byUop []por
 // trivially unsatisfiable.
 var errUnsatLemma = errors.New("smt: lemma closed the search space")
 
-// uopIndexByKey maps instruction keys to their µop indices.
-func (in *Instance) uopIndexByKey() map[string][]int {
-	out := map[string][]int{}
-	for i, u := range in.Uops {
-		out[u.Key] = append(out[u.Key], i)
-	}
-	return out
-}
-
 // addTooSlowLemma learns the down-set exclusion for a "model too
 // slow" conflict: with q the bottleneck witness of the failing
 // mapping, any mapping keeping every culprit µop inside q has
@@ -447,18 +429,6 @@ func sameExp(a, b portmodel.Experiment) bool {
 		}
 	}
 	return true
-}
-
-// ExpKey renders an experiment canonically ("n*key|m*key" in sorted
-// key order), matching the engine's cache identity; the supervision
-// layer uses it to name core members and relaxations.
-func ExpKey(e portmodel.Experiment) string {
-	keys := e.Keys()
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%d*%s", e[k], k))
-	}
-	return strings.Join(parts, "|")
 }
 
 // DropLemmasFrom removes every lemma derived from the given experiment

@@ -3,6 +3,7 @@ package smt
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -325,41 +326,164 @@ func TestFindMappingWithFrontendBoundMeasurements(t *testing.T) {
 	}
 }
 
-func TestDistinguishUnmemoizedAgreesWithPre(t *testing.T) {
-	in := toyInstance()
+// TestDistinguishMatchesBruteForce pins distinguish against an
+// independent stratified scan: every experiment of each total size
+// with at most maxDistinct distinct keys, ordered lexicographically by
+// its (key index, count) pairs, evaluated with the reference
+// Mapping.InverseThroughputBounded. The first hit and both values must
+// agree bit for bit, and identical mappings must not be distinguished.
+func TestDistinguishMatchesBruteForce(t *testing.T) {
+	type trial struct {
+		in                    *Instance
+		m1, m2                *portmodel.Mapping
+		maxDistinct, maxTotal int
+	}
+	toy := toyInstance()
 	m1 := portmodel.NewMapping(2)
 	m1.Set("iA", portmodel.Usage{{Ports: portmodel.MakePortSet(0), Count: 1}})
 	m1.Set("iB", portmodel.Usage{{Ports: portmodel.MakePortSet(1), Count: 1}})
 	m2 := portmodel.NewMapping(2)
 	m2.Set("iA", portmodel.Usage{{Ports: portmodel.MakePortSet(0), Count: 1}})
 	m2.Set("iB", portmodel.Usage{{Ports: portmodel.MakePortSet(0), Count: 1}})
+	trials := []trial{{toy, m1, m2, 2, 4}}
 
-	e1, a1, b1, err := in.distinguish(m1, m2, 2, 4)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(17))
+	randomMapping := func(keys []string, ports int) *portmodel.Mapping {
+		m := portmodel.NewMapping(ports)
+		for _, k := range keys {
+			var u portmodel.Usage
+			for j := 1 + rng.Intn(2); j > 0; j-- {
+				u = append(u, portmodel.Uop{Ports: portmodel.PortSet(1 + rng.Intn(1<<uint(ports)-1)), Count: 1 + rng.Intn(2)})
+			}
+			m.Set(k, u)
+		}
+		return m
 	}
-	cands, err := in.candidateExps(m1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 400; i++ {
+		ports := 2 + rng.Intn(3)
+		keys := []string{"k0", "k1", "k2", "k3"}[:1+rng.Intn(4)]
+		in := &Instance{NumPorts: ports, Epsilon: []float64{0.02, 0.1, 0.25}[rng.Intn(3)]}
+		if rng.Intn(2) == 0 {
+			in.Rmax = float64(2 + rng.Intn(4))
+		}
+		for _, k := range keys {
+			in.Uops = append(in.Uops, UopSpec{Key: k})
+		}
+		a, b := randomMapping(keys, ports), randomMapping(keys, ports)
+		if i%2 == 0 {
+			// Rotate the ports of some keys only: every singleton
+			// keeps its value, so hits need mixed experiments.
+			b = a.Clone()
+			for _, k := range keys {
+				if rng.Intn(2) == 0 {
+					var u portmodel.Usage
+					for _, x := range a.Usage[k] {
+						rot := (x.Ports<<1 | x.Ports>>uint(ports-1)) & (1<<uint(ports) - 1)
+						u = append(u, portmodel.Uop{Ports: rot, Count: x.Count})
+					}
+					b.Set(k, u)
+				}
+			}
+		}
+		trials = append(trials, trial{in, a, b, 1 + rng.Intn(3), 1 + rng.Intn(5)})
 	}
-	e2, a2, b2, err := in.distinguishPre(m1, m2, cands)
-	if err != nil {
-		t.Fatal(err)
+
+	hits := 0
+	for i, tr := range trials {
+		want, w1, w2 := bruteForceDistinguish(t, tr.in, tr.m1, tr.m2, tr.maxDistinct, tr.maxTotal)
+		got, g1, g2, err := tr.in.distinguish(tr.m1, tr.m2, tr.maxDistinct, tr.maxTotal)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if (got == nil) != (want == nil) || (got != nil && (got.String() != want.String() || g1 != w1 || g2 != w2)) {
+			t.Fatalf("trial %d: distinguish = %v (%v, %v), brute force = %v (%v, %v)", i, got, g1, g2, want, w1, w2)
+		}
+		if got != nil {
+			hits++
+		}
+		if same, _, _, err := tr.in.distinguish(tr.m1, tr.m1, tr.maxDistinct, tr.maxTotal); err != nil || same != nil {
+			t.Fatalf("trial %d: identical mappings distinguished by %v (err %v)", i, same, err)
+		}
 	}
-	if e1 == nil || e2 == nil {
-		t.Fatal("both searches must find the distinguishing experiment")
+	if hits == 0 || hits == len(trials) {
+		t.Fatalf("%d of %d trials distinguished; the comparison needs both outcomes", hits, len(trials))
 	}
-	if e1.String() != e2.String() || a1 != a2 || b1 != b2 {
-		t.Fatalf("variants disagree: %v (%v,%v) vs %v (%v,%v)", e1, a1, b1, e2, a2, b2)
+}
+
+// bruteForceDistinguish is the reference scan of
+// TestDistinguishMatchesBruteForce.
+func bruteForceDistinguish(t *testing.T, in *Instance, m1, m2 *portmodel.Mapping, maxDistinct, maxTotal int) (portmodel.Experiment, float64, float64) {
+	t.Helper()
+	keys := in.SortedKeys()
+	for total := 1; total <= maxTotal; total++ {
+		// Every count vector summing to total, by odometer.
+		var vecs [][]int
+		v := make([]int, len(keys))
+		for {
+			sum, distinct := 0, 0
+			for _, c := range v {
+				sum += c
+				if c > 0 {
+					distinct++
+				}
+			}
+			if sum == total && distinct <= maxDistinct {
+				vecs = append(vecs, slices.Clone(v))
+			}
+			j := 0
+			for j < len(v) && v[j] == total {
+				v[j] = 0
+				j++
+			}
+			if j == len(v) {
+				break
+			}
+			v[j]++
+		}
+		// Stratified order: compare the (key index, count) pairs of
+		// the non-zero entries lexicographically.
+		pairs := func(v []int) [][2]int {
+			var out [][2]int
+			for i, c := range v {
+				if c > 0 {
+					out = append(out, [2]int{i, c})
+				}
+			}
+			return out
+		}
+		slices.SortFunc(vecs, func(a, b []int) int {
+			pa, pb := pairs(a), pairs(b)
+			for i := 0; i < len(pa) && i < len(pb); i++ {
+				if pa[i][0] != pb[i][0] {
+					return pa[i][0] - pb[i][0]
+				}
+				if pa[i][1] != pb[i][1] {
+					return pa[i][1] - pb[i][1]
+				}
+			}
+			return len(pa) - len(pb)
+		})
+		for _, v := range vecs {
+			e := portmodel.Experiment{}
+			for i, c := range v {
+				if c > 0 {
+					e[keys[i]] = c
+				}
+			}
+			t1, err := m1.InverseThroughputBounded(e, in.Rmax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t2, err := m2.InverseThroughputBounded(e, in.Rmax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(t1-t2) > 2*in.Epsilon*float64(total) {
+				return e, t1, t2
+			}
+		}
 	}
-	// Indistinguishable case: identical mappings.
-	e3, _, _, err := in.distinguish(m1, m1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3 != nil {
-		t.Fatalf("identical mappings distinguished by %v", e3)
-	}
+	return nil, 0, 0
 }
 
 // TestFindOtherMappingNilRollsBack: the nil FindOtherMapping that ends
@@ -440,5 +564,30 @@ func TestFindRejectsUninternableExperiments(t *testing.T) {
 		if got := in.LemmaRecords(); !reflect.DeepEqual(got, before) {
 			t.Fatalf("%v: lemma store changed: %d -> %d records", c.exp, len(before), len(got))
 		}
+	}
+}
+
+// TestFindOtherMappingRejectsIncompleteMapping: an m1 without a usage
+// for some instance key cannot be compiled over the instance keys, so
+// the uniqueness search fails with the reference evaluator's error
+// before any search and leaves the lemma store as it found it.
+func TestFindOtherMappingRejectsIncompleteMapping(t *testing.T) {
+	in := toyInstance()
+	exps := append(toyExps(), MeasuredExp{Exp: portmodel.Experiment{"iA": 1, "iB": 1}, TInv: 2.0})
+	if _, err := in.FindMapping(exps); err != nil {
+		t.Fatal(err)
+	}
+	if in.LemmaCount() == 0 {
+		t.Fatal("setup learned no lemma; the store check would be vacuous")
+	}
+	before := in.LemmaRecords()
+	m1 := portmodel.NewMapping(2)
+	m1.Set("iA", portmodel.Usage{{Ports: portmodel.MakePortSet(0, 1), Count: 1}})
+	const want = `portmodel: no usage known for "iB"`
+	if _, err := in.FindOtherMapping(exps, m1, 2, 4, 100); err == nil || err.Error() != want {
+		t.Fatalf("FindOtherMapping error %v, want %q", err, want)
+	}
+	if got := in.LemmaRecords(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("lemma store changed: %d -> %d records", len(before), len(got))
 	}
 }

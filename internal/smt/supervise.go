@@ -5,9 +5,14 @@ import (
 	"errors"
 	"sort"
 
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
 )
+
+// slackStep is the tolerance slack one relaxation adds to an
+// experiment.
+const slackStep = 0.25
 
 // SuperviseOptions configures the supervised findMapping loop.
 type SuperviseOptions struct {
@@ -19,8 +24,6 @@ type SuperviseOptions struct {
 	// surfaces as ErrNoMapping exactly as an unsupervised query would,
 	// preserving the §4.3 anomaly-isolation path.
 	MaxSlack float64
-	// SlackStep is the slack increment per relaxation (0 means 0.25).
-	SlackStep float64
 	// QualityOf, if non-nil, scores an experiment's measurement
 	// quality; higher means less trustworthy (e.g. the engine's robust
 	// spread). Recovery relaxes the worst-quality core member first.
@@ -79,15 +82,11 @@ func (o *SuperviseOptions) logf(format string, args ...any) {
 // returned experiments always reflect the relaxations applied so far.
 func (in *Instance) FindMappingSupervised(ctx context.Context, exps []MeasuredExp, opts SuperviseOptions) (*portmodel.Mapping, []MeasuredExp, *SupervisionReport, error) {
 	rep := &SupervisionReport{}
-	step := opts.SlackStep
-	if step <= 0 {
-		step = 0.25
-	}
-	// Each round raises one experiment's slack by step, so the loop is
-	// bounded even before the budget is.
+	// Each round raises one experiment's slack by slackStep, so the
+	// loop is bounded even before the budget is.
 	maxRounds := 1
 	if opts.MaxSlack > 0 {
-		maxRounds += len(exps) * (int(opts.MaxSlack/step) + 1)
+		maxRounds += len(exps) * (int(opts.MaxSlack/slackStep) + 1)
 	}
 	for round := 0; round < maxRounds; round++ {
 		m, err := in.FindMappingBudget(ctx, exps, opts.Budget)
@@ -132,7 +131,7 @@ func (in *Instance) FindMappingSupervised(ctx context.Context, exps []MeasuredEx
 			rep.Unrecoverable = true
 			return nil, exps, rep, ErrNoMapping
 		}
-		rx := Relaxation{Key: ExpKey(exps[victim].Exp), OldTInv: exps[victim].TInv, NewTInv: exps[victim].TInv}
+		rx := Relaxation{Key: engine.CanonicalKey(exps[victim].Exp), OldTInv: exps[victim].TInv, NewTInv: exps[victim].TInv}
 		if opts.Remeasure != nil {
 			t, merr := opts.Remeasure(ctx, exps[victim].Exp)
 			if merr != nil {
@@ -141,7 +140,7 @@ func (in *Instance) FindMappingSupervised(ctx context.Context, exps []MeasuredEx
 			rx.NewTInv = t
 			exps[victim].TInv = t
 		}
-		exps[victim].Slack += step
+		exps[victim].Slack += slackStep
 		if exps[victim].Slack > opts.MaxSlack {
 			exps[victim].Slack = opts.MaxSlack
 		}
@@ -174,7 +173,7 @@ func pickVictim(exps []MeasuredExp, core []int, opts SuperviseOptions) int {
 		if ia != ib {
 			return ia > ib
 		}
-		return ExpKey(exps[ia].Exp) < ExpKey(exps[ib].Exp)
+		return engine.CanonicalKey(exps[ia].Exp) < engine.CanonicalKey(exps[ib].Exp)
 	})
 	for _, i := range cand {
 		if exps[i].Slack < opts.MaxSlack {
