@@ -84,7 +84,10 @@ bench-smoke:
 	$(GO) test -run 'TestNothing' -bench=. -benchmem -benchtime=1x .
 
 # fuzz-smoke runs every fuzz target for 20 s each: the compiled
-# throughput evaluator against the reference, the simplex LP oracle
+# throughput evaluator against the reference (tp⁻¹, witness, bounded
+# tp⁻¹ and IPC at a fuzzed rmax, the count range error), the mapping
+# JSON decoder (no panic; accepted mappings validate, round-trip and
+# compile to the reference), the simplex LP oracle
 # against the bottleneck-set evaluator, checkpoint lemma restoring,
 # the CDCL solver against brute-force enumeration, and the serving
 # request decoder (no panic, no 5xx, every 200 equal to the compiled
@@ -92,6 +95,7 @@ bench-smoke:
 # input is written under the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
+	$(GO) test -run '^$$' -fuzz '^FuzzMappingUnmarshalJSON$$' -fuzztime 20s ./internal/portmodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzLPMatchesReference$$' -fuzztime 20s ./internal/lp/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLemmas$$' -fuzztime 20s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveAgainstBruteForce$$' -fuzztime 20s ./internal/sat/

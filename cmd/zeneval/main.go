@@ -30,7 +30,6 @@ import (
 	"zenport/internal/baseline/pmevo"
 	"zenport/internal/eval"
 	"zenport/internal/isa"
-	"zenport/internal/portmodel"
 )
 
 // main delegates to run so the deferred persist-store Close (journal
@@ -165,15 +164,20 @@ func run() error {
 
 	// Compile each mapping once; the whole block sweep shares the
 	// compiled evaluators (predictions are bit-identical to the
-	// uncompiled path). A failed compile leaves the predictor on its
-	// internal lazy/reference path.
-	oursComp, _ := zenport.CompileMapping(rep.Final, nil)
-	pmevoComp, _ := zenport.CompileMapping(pmevoMap, nil)
+	// reference Mapping methods).
+	oursComp, err := zenport.CompileMapping(rep.Final, nil)
+	if err != nil {
+		return fmt.Errorf("compiling the inferred mapping: %w", err)
+	}
+	pmevoComp, err := zenport.CompileMapping(pmevoMap, nil)
+	if err != nil {
+		return fmt.Errorf("compiling the PMEvo mapping: %w", err)
+	}
 	palmedEval := palmedModel.NewEvaluator()
 	preds := []eval.Predictor{
-		&eval.MappingPredictor{Label: "PMEvo", Mapping: pmevoMap, Compiled: pmevoComp},
+		&eval.MappingPredictor{Label: "PMEvo", Compiled: pmevoComp},
 		&eval.FuncPredictor{Label: "Palmed", Fn: palmedEval.IPC},
-		&eval.MappingPredictor{Label: "Ours", Mapping: rep.Final, Rmax: machine.Rmax(), Compiled: oursComp},
+		&eval.MappingPredictor{Label: "Ours", Compiled: oursComp, Rmax: machine.Rmax()},
 	}
 	results, err := eval.Evaluate(bs, preds, 5.5, 22)
 	if err != nil {
@@ -186,6 +190,5 @@ func run() error {
 		fmt.Printf("\n== Figure 5: %s predicted (y) vs measured (x) IPC, 0..5.5\n", r.Name)
 		fmt.Print(r.Heatmap.Render())
 	}
-	_ = portmodel.Experiment(nil)
 	return nil
 }

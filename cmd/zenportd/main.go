@@ -98,7 +98,6 @@ func run() error {
 	rmax := flag.Float64("rmax", 5, "frontend/retire bound in instructions per cycle (0 = none)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "per-mapping prediction LRU capacity")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body size cap in bytes")
-	memo := flag.Int("memo", 0, "per-evaluator experiment memo cap (0 = default, <0 = unbounded)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	quiet := flag.Bool("quiet", false, "suppress per-error log lines")
 	maxConcurrent := flag.Int("max-concurrent", serve.DefaultMaxConcurrent, "concurrent evaluator work bound")
@@ -119,7 +118,7 @@ func run() error {
 	}
 
 	cfg := serve.Config{
-		Rmax: *rmax, CacheSize: *cacheSize, MaxBodyBytes: *maxBody, MemoLimit: *memo,
+		Rmax: *rmax, CacheSize: *cacheSize, MaxBodyBytes: *maxBody,
 		MaxConcurrent: *maxConcurrent, MaxQueue: *maxQueue, QueueTimeout: *queueTimeout,
 		RetryAfter: *retryAfter, DefaultDeadline: *deadline, MaxDeadline: *maxDeadline,
 		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,

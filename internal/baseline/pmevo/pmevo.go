@@ -97,7 +97,10 @@ func Infer(h *measure.Harness, keys []string, cfg Config) (*portmodel.Mapping, e
 	for i := range pop {
 		pop[i] = randomMapping(rng, sorted, numPorts, cfg.MaxUops)
 	}
-	fe := newFitnessEval(sorted, benches, rmax)
+	fe, err := newFitnessEval(numPorts, sorted, benches, rmax)
+	if err != nil {
+		return nil, err
+	}
 	fit := make([]float64, len(pop))
 	for i := range pop {
 		f, err := fe.fitness(pop[i])
@@ -131,68 +134,50 @@ func Infer(h *measure.Harness, keys []string, cfg Config) (*portmodel.Mapping, e
 
 // fitnessEval scores candidates against the fixed benchmark set. The
 // benchmark experiments are interned once into dense weight vectors
-// over the sorted key universe; each candidate is then compiled and
-// evaluated through the allocation-free portmodel.Compiled path,
-// which is bit-identical to the reference evaluator — the GA
-// trajectory is unchanged. Benchmarks that cannot be interned (keys
-// outside the universe) disable interning and score via the
-// reference path.
+// over the sorted key universe; each candidate is then compiled over
+// that universe and evaluated through the allocation-free
+// portmodel.Compiled path, which is bit-identical to the reference
+// evaluator.
 type fitnessEval struct {
 	universe []string
 	benches  []benchmark
 	rmax     float64
-	vecs     [][]int32 // nil when interning is disabled
+	vecs     [][]int32
 	lens     []int
 }
 
-func newFitnessEval(universe []string, benches []benchmark, rmax float64) *fitnessEval {
-	fe := &fitnessEval{universe: universe, benches: benches, rmax: rmax}
-	idx := make(map[string]int, len(universe))
-	for i, k := range universe {
-		idx[k] = i
+// newFitnessEval interns the benchmarks through the compiled
+// evaluator's interner. Interning needs only the scheme universe, so
+// an evaluator with empty usages over it serves. A benchmark that
+// cannot be interned is an error.
+func newFitnessEval(numPorts int, universe []string, benches []benchmark, rmax float64) (*fitnessEval, error) {
+	c, err := portmodel.CompileUsages(numPorts, universe, make([]portmodel.Usage, len(universe)))
+	if err != nil {
+		return nil, fmt.Errorf("pmevo: %w", err)
 	}
-	vecs := make([][]int32, len(benches))
-	lens := make([]int, len(benches))
+	fe := &fitnessEval{universe: universe, benches: benches, rmax: rmax,
+		vecs: make([][]int32, len(benches)), lens: make([]int, len(benches))}
 	for i, b := range benches {
-		vec := make([]int32, len(universe))
-		total := 0
-		for k, n := range b.exp {
-			j, ok := idx[k]
-			if !ok || n < 0 {
-				return fe
-			}
-			vec[j] += int32(n)
-			total += n
+		if fe.vecs[i], fe.lens[i], err = c.WeightVector(b.exp, nil); err != nil {
+			return nil, fmt.Errorf("pmevo: benchmark %v: %w", b.exp, err)
 		}
-		vecs[i], lens[i] = vec, total
 	}
-	fe.vecs, fe.lens = vecs, lens
-	return fe
+	return fe, nil
 }
 
 // fitness is the mean absolute percentage error over the benchmark
-// set (lower is better).
+// set (lower is better). A candidate that does not compile is an
+// error.
 func (fe *fitnessEval) fitness(m *portmodel.Mapping) (float64, error) {
-	if fe.vecs != nil {
-		if comp, err := portmodel.CompileMapping(m, fe.universe); err == nil {
-			sum := 0.0
-			for i := range fe.vecs {
-				pred := comp.InverseThroughputBoundedWeights(fe.vecs[i], fe.lens[i], fe.rmax)
-				if t := fe.benches[i].tinv; t > 0 {
-					sum += math.Abs(pred-t) / t
-				}
-			}
-			return sum / float64(len(fe.benches)), nil
-		}
+	comp, err := portmodel.CompileMapping(m, fe.universe)
+	if err != nil {
+		return 0, fmt.Errorf("pmevo: candidate: %w", err)
 	}
 	sum := 0.0
-	for _, b := range fe.benches {
-		pred, err := m.InverseThroughputBounded(b.exp, fe.rmax)
-		if err != nil {
-			return 0, err
-		}
-		if b.tinv > 0 {
-			sum += math.Abs(pred-b.tinv) / b.tinv
+	for i, vec := range fe.vecs {
+		pred := comp.InverseThroughputBoundedWeights(vec, fe.lens[i], fe.rmax)
+		if t := fe.benches[i].tinv; t > 0 {
+			sum += math.Abs(pred-t) / t
 		}
 	}
 	return sum / float64(len(fe.benches)), nil
@@ -205,7 +190,6 @@ func argmin(xs []float64) int {
 			best = i
 		}
 	}
-	_ = fmt.Sprint // keep fmt for debug hooks
 	return best
 }
 

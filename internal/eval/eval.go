@@ -25,22 +25,15 @@ type Predictor interface {
 	PredictIPC(e portmodel.Experiment) (float64, error)
 }
 
-// MappingPredictor wraps a port mapping (ours or PMEvo's) with the
-// Rmax bottleneck applied, as the paper does for its own model.
-// Predictions run through a compiled evaluator (portmodel.Compiled),
-// built lazily on first use or pre-seeded via Compiled, and are
-// bit-identical to Mapping.IPC.
+// MappingPredictor predicts with a port mapping (ours or PMEvo's)
+// with the Rmax bottleneck applied, as the paper does for its own
+// model. Predictions run through the mapping's compiled evaluator
+// (portmodel.CompileMapping) and are bit-identical to Mapping.IPC.
 type MappingPredictor struct {
-	Label   string
-	Mapping *portmodel.Mapping
+	Label    string
+	Compiled *portmodel.Compiled
 	// Rmax caps the IPC (0 = no cap; the paper does not cap PMEvo).
 	Rmax float64
-	// Compiled optionally pre-seeds the compiled evaluator, so one
-	// compiled mapping can be shared with other consumers. Leave nil
-	// to compile lazily from Mapping.
-	Compiled *portmodel.Compiled
-
-	compileFailed bool
 }
 
 // Name returns the predictor label.
@@ -48,18 +41,7 @@ func (p *MappingPredictor) Name() string { return p.Label }
 
 // PredictIPC implements Predictor.
 func (p *MappingPredictor) PredictIPC(e portmodel.Experiment) (float64, error) {
-	if p.Compiled == nil && !p.compileFailed {
-		c, err := portmodel.CompileMapping(p.Mapping, nil)
-		if err != nil {
-			p.compileFailed = true
-		} else {
-			p.Compiled = c
-		}
-	}
-	if p.Compiled != nil {
-		return p.Compiled.IPC(e, p.Rmax)
-	}
-	return p.Mapping.IPC(e, p.Rmax)
+	return p.Compiled.IPC(e, p.Rmax)
 }
 
 // FuncPredictor adapts a prediction function (used for the

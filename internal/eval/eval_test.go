@@ -16,6 +16,17 @@ func harness() *measure.Harness {
 	return measure.NewHarness(m)
 }
 
+// truthPredictor predicts with the compiled ground-truth mapping
+// under the Zen+ Rmax of 5.
+func truthPredictor(t *testing.T) *MappingPredictor {
+	t.Helper()
+	c, err := portmodel.CompileMapping(db.Truth(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &MappingPredictor{Label: "truth", Compiled: c, Rmax: 5}
+}
+
 var keys = []string{
 	"add GPR[32], GPR[32]",
 	"vpor XMM, XMM, XMM",
@@ -62,7 +73,7 @@ func TestEvaluatePerfectPredictor(t *testing.T) {
 	}
 	// The ground-truth mapping with the Rmax cap is essentially a
 	// perfect predictor on the anomaly-free machine.
-	truth := &MappingPredictor{Label: "truth", Mapping: db.Truth(), Rmax: 5}
+	truth := truthPredictor(t)
 	res, err := Evaluate(blocks, []Predictor{truth}, 5.5, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +102,7 @@ func TestEvaluateBadPredictorScoresWorse(t *testing.T) {
 	constPred := &FuncPredictor{Label: "const", Fn: func(e portmodel.Experiment) (float64, error) {
 		return 1.0, nil
 	}}
-	truth := &MappingPredictor{Label: "truth", Mapping: db.Truth(), Rmax: 5}
+	truth := truthPredictor(t)
 	res, err := Evaluate(blocks, []Predictor{truth, constPred}, 5.5, 11)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package portmodel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -26,10 +25,12 @@ import (
 // bit-identical to the reference evaluator, including the witness
 // tie-break (numerically smallest PortSet among the maximizers).
 //
-// Experiment-keyed queries additionally memoize their result per
-// weight-multiset key, so repeated queries cost one buffer encode and
-// one map probe. A Compiled is not safe for concurrent use; compile
-// one per goroutine (compilation is cheap) or guard it externally.
+// Experiment-keyed queries intern the experiment into a scratch weight
+// vector and evaluate it; they cache nothing, since a throughput is a
+// pure function of the experiment and callers that repeat queries
+// (the serving layer's LRU) cache above this type. A Compiled is not
+// safe for concurrent use; compile one per goroutine (compilation is
+// cheap) or guard it externally.
 type Compiled struct {
 	numPorts int
 	keys     []string         // scheme index -> key
@@ -44,11 +45,6 @@ type Compiled struct {
 	// so the scratch weight vector can be cleared without a full scan.
 	w       []int32
 	touched []int32
-	keyBuf  []byte
-	memo    map[string]memoVal
-	// memoLimit caps len(memo); 0 means DefaultMemoLimit, negative
-	// means unlimited. See SetMemoLimit.
-	memoLimit int
 }
 
 // cuop is one packed µop: admissible ports and multiplicity.
@@ -57,24 +53,45 @@ type cuop struct {
 	count uint8
 }
 
-// memoVal caches one experiment's evaluation.
-type memoVal struct {
-	q     PortSet
-	inv   float64
-	total int32 // instruction count of the experiment
+// Evaluation is one experiment's evaluation under a compiled
+// mapping: the bottleneck witness, the unbounded inverse throughput
+// and the instruction count. Bounded and IPC derive the frontend-
+// bounded values from it.
+type Evaluation struct {
+	Witness PortSet // port set achieving the bottleneck maximum
+	Inv     float64 // tp^-1, the pure port-model value
+	Total   int     // instruction count of the experiment
+}
+
+// Bounded applies the frontend bottleneck: max(tp^-1, total/rmax).
+// rmax <= 0 disables the bound.
+func (v Evaluation) Bounded(rmax float64) float64 {
+	inv := v.Inv
+	if rmax > 0 {
+		if lim := float64(v.Total) / rmax; inv < lim {
+			inv = lim
+		}
+	}
+	return inv
+}
+
+// IPC returns instructions per cycle, capped at rmax if rmax > 0,
+// matching Mapping.IPC exactly. It is +Inf for an experiment with
+// instructions but no µops when rmax does not bound it.
+func (v Evaluation) IPC(rmax float64) float64 {
+	n := float64(v.Total)
+	if n == 0 {
+		return 0
+	}
+	inv := v.Bounded(rmax)
+	if inv == 0 {
+		return math.Inf(1)
+	}
+	return n / inv
 }
 
 // maxCompiledCount bounds a packed µop multiplicity.
 const maxCompiledCount = 255
-
-// DefaultMemoLimit is the default cap on the number of memoized
-// experiment evaluations a Compiled holds. The memo was originally
-// unbounded — harmless in a batch run whose experiment universe is
-// fixed, but a memory leak in a long-running server fed a diverse
-// query stream. The limit trades recall for boundedness; eviction is
-// clear-on-full (see evalExperiment), which keeps every result
-// bit-identical — the memo only ever caches exact values.
-const DefaultMemoLimit = 4096
 
 // CompileMapping compiles a mapping over the given scheme universe.
 // A nil universe compiles every key of the mapping. Every universe
@@ -114,7 +131,6 @@ func CompileUsages(numPorts int, keys []string, usages []Usage) (*Compiled, erro
 		sos:      make([]float64, 1<<uint(numPorts)),
 		w:        make([]int32, len(keys)),
 		touched:  make([]int32, 0, 8),
-		memo:     make(map[string]memoVal),
 	}
 	for i, key := range keys {
 		if _, dup := c.index[key]; dup {
@@ -139,9 +155,6 @@ func CompileUsages(numPorts int, keys []string, usages []Usage) (*Compiled, erro
 // NumPorts returns the number of execution ports.
 func (c *Compiled) NumPorts() int { return c.numPorts }
 
-// NumSchemes returns the size of the compiled scheme universe.
-func (c *Compiled) NumSchemes() int { return len(c.keys) }
-
 // Keys returns the interned scheme keys; index i holds the key of
 // scheme index i. The slice is shared — do not mutate.
 func (c *Compiled) Keys() []string { return c.keys }
@@ -152,67 +165,56 @@ func (c *Compiled) Index(key string) (int32, bool) {
 	return i, ok
 }
 
-// SetMemoLimit caps the experiment memo at n entries (0 restores
-// DefaultMemoLimit, negative disables the cap). When the memo is full
-// a new distinct experiment clears it entirely — O(1) amortized, no
-// bookkeeping on the hit path, and results stay bit-identical because
-// the memo holds nothing but exact evaluations. Long-running servers
-// keep the default; batch runs over a fixed experiment universe may
-// disable the cap.
-func (c *Compiled) SetMemoLimit(n int) { c.memoLimit = n }
-
-// MemoSize returns the number of memoized experiment evaluations,
-// for tests and serving statistics.
-func (c *Compiled) MemoSize() int { return len(c.memo) }
-
-// memoCap resolves the effective memo capacity (<0 = unlimited).
-func (c *Compiled) memoCap() int {
-	if c.memoLimit == 0 {
-		return DefaultMemoLimit
-	}
-	return c.memoLimit
-}
-
 // SetUop replaces the port set of the j-th µop of the given scheme
-// (in CompileUsages order) and invalidates the memo. It is the SMT
-// propagator's in-place retargeting hook: the µop structure of a
-// solver instance is fixed, only the candidate port sets change.
+// (in CompileUsages order). It is the SMT propagator's in-place
+// retargeting hook: the µop structure of a solver instance is fixed,
+// only the candidate port sets change.
 func (c *Compiled) SetUop(scheme int32, j int, ports PortSet) {
 	c.uops[int(c.start[scheme])+j].ports = ports
-	if len(c.memo) > 0 {
-		clear(c.memo)
-	}
 }
 
 // WeightVector interns an experiment into a dense weight vector over
 // the compiled universe, reusing dst when it has the right length.
 // It returns the vector, the total instruction count, and an error
-// for unknown keys or negative counts (matching the reference
-// evaluator's messages).
+// for unknown keys, negative counts (matching the reference
+// evaluator's messages) or counts above math.MaxInt32.
 func (c *Compiled) WeightVector(e Experiment, dst []int32) ([]int32, int, error) {
 	if len(dst) != len(c.keys) {
 		dst = make([]int32, len(c.keys))
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
+	total, err := c.intern(e, dst)
+	return dst, total, err
+}
+
+// intern is the single experiment interner: it writes e's counts into
+// w, which must be zero at the interned indices, records each written
+// index in c.touched, and returns the instruction count. A weight is
+// an int32, so a count above math.MaxInt32 is a range error rather
+// than a silently truncated weight.
+func (c *Compiled) intern(e Experiment, w []int32) (int, error) {
+	c.touched = c.touched[:0]
 	total := 0
 	for key, n := range e {
 		if n == 0 {
 			continue
 		}
 		if n < 0 {
-			return dst, 0, fmt.Errorf("portmodel: negative count for %q", key)
+			return 0, fmt.Errorf("portmodel: negative count for %q", key)
+		}
+		if n > math.MaxInt32 {
+			return 0, fmt.Errorf("portmodel: count %d for %q exceeds %d", n, key, math.MaxInt32)
 		}
 		i, ok := c.index[key]
 		if !ok {
-			return dst, 0, fmt.Errorf("portmodel: no usage known for %q", key)
+			return 0, fmt.Errorf("portmodel: no usage known for %q", key)
 		}
-		dst[i] = int32(n)
+		w[i] = int32(n)
+		c.touched = append(c.touched, i)
 		total += n
 	}
-	return dst, total, nil
+	return total, nil
 }
 
 // evalVec is the allocation-free core: the bottleneck witness and
@@ -287,25 +289,12 @@ func (c *Compiled) evalVec(w []int32) (PortSet, float64) {
 	return bestQ, best
 }
 
-// InverseThroughputWeights computes tp^-1 of a dense weight vector
-// with zero allocations and no memoization (fresh candidate mappings
-// never repeat, so the SMT hot path skips the memo entirely).
-func (c *Compiled) InverseThroughputWeights(w []int32) float64 {
-	_, v := c.evalVec(w)
-	return v
-}
-
 // InverseThroughputBoundedWeights applies the frontend bottleneck:
 // max(tp^-1, total/rmax), with total the instruction count of the
 // experiment (the sum of w). rmax <= 0 disables the bound.
 func (c *Compiled) InverseThroughputBoundedWeights(w []int32, total int, rmax float64) float64 {
 	_, v := c.evalVec(w)
-	if rmax > 0 {
-		if lim := float64(total) / rmax; v < lim {
-			v = lim
-		}
-	}
-	return v
+	return Evaluation{Inv: v, Total: total}.Bounded(rmax)
 }
 
 // BottleneckWitnessWeights returns the bottleneck witness and value
@@ -314,138 +303,46 @@ func (c *Compiled) BottleneckWitnessWeights(w []int32) (PortSet, float64) {
 	return c.evalVec(w)
 }
 
-// evalExperiment interns, memoizes, and evaluates one experiment.
-// Steady state (memo hit) performs no allocation: the weight scratch,
-// touched list, and key buffer are reused, and the map probe uses the
-// compiler's zero-copy string(keyBuf) lookup.
-func (c *Compiled) evalExperiment(e Experiment) (memoVal, error) {
-	c.touched = c.touched[:0]
-	total := 0
-	bad := ""
-	negative := false
-	for key, n := range e {
-		if n == 0 {
-			continue
-		}
-		if n < 0 {
-			negative, bad = true, key
-			break
-		}
-		i, ok := c.index[key]
-		if !ok {
-			bad = key
-			break
-		}
-		c.w[i] = int32(n)
-		c.touched = append(c.touched, i)
-		total += n
+// Evaluate interns and evaluates one experiment: its bottleneck
+// witness (with the reference evaluator's tie-break), tp^-1 and
+// instruction count. It allocates nothing on success: the weight
+// scratch and touched list are reused and cleared on every path.
+func (c *Compiled) Evaluate(e Experiment) (Evaluation, error) {
+	total, err := c.intern(e, c.w)
+	var v Evaluation
+	if err == nil {
+		v.Witness, v.Inv = c.evalVec(c.w)
+		v.Total = total
 	}
-	if bad != "" {
-		for _, i := range c.touched {
-			c.w[i] = 0
-		}
-		if negative {
-			return memoVal{}, fmt.Errorf("portmodel: negative count for %q", bad)
-		}
-		return memoVal{}, fmt.Errorf("portmodel: no usage known for %q", bad)
-	}
-	// Canonical memo key: (index, weight) pairs in ascending index
-	// order. The touched list is in map-iteration order, so the key is
-	// built from an ascending scan of the weight vector instead.
-	c.keyBuf = c.keyBuf[:0]
-	var enc [binary.MaxVarintLen32]byte
-	for i, wi := range c.w {
-		if wi == 0 {
-			continue
-		}
-		c.keyBuf = append(c.keyBuf, enc[:binary.PutUvarint(enc[:], uint64(i))]...)
-		c.keyBuf = append(c.keyBuf, enc[:binary.PutUvarint(enc[:], uint64(wi))]...)
-	}
-	if v, ok := c.memo[string(c.keyBuf)]; ok {
-		for _, i := range c.touched {
-			c.w[i] = 0
-		}
-		return v, nil
-	}
-	q, inv := c.evalVec(c.w)
-	v := memoVal{q: q, inv: inv, total: int32(total)}
-	if limit := c.memoCap(); limit > 0 && len(c.memo) >= limit {
-		clear(c.memo)
-	}
-	c.memo[string(c.keyBuf)] = v
 	for _, i := range c.touched {
 		c.w[i] = 0
 	}
-	return v, nil
+	return v, err
 }
 
 // InverseThroughput computes tp^-1(e), bit-identical to the reference
 // Mapping.InverseThroughput of the compiled mapping.
 func (c *Compiled) InverseThroughput(e Experiment) (float64, error) {
-	v, err := c.evalExperiment(e)
-	if err != nil {
-		return 0, err
-	}
-	return v.inv, nil
+	v, err := c.Evaluate(e)
+	return v.Inv, err
 }
 
 // InverseThroughputBounded is InverseThroughput with the frontend
 // bottleneck applied: max(tp^-1(e), |e|/rmax). rmax <= 0 disables it.
 func (c *Compiled) InverseThroughputBounded(e Experiment, rmax float64) (float64, error) {
-	v, err := c.evalExperiment(e)
+	v, err := c.Evaluate(e)
 	if err != nil {
 		return 0, err
 	}
-	inv := v.inv
-	if rmax > 0 {
-		if lim := float64(v.total) / rmax; inv < lim {
-			inv = lim
-		}
-	}
-	return inv, nil
-}
-
-// BottleneckWitness returns a port set Q achieving the bottleneck
-// maximum, with the reference evaluator's tie-break.
-func (c *Compiled) BottleneckWitness(e Experiment) (PortSet, float64, error) {
-	v, err := c.evalExperiment(e)
-	if err != nil {
-		return 0, 0, err
-	}
-	return v.q, v.inv, nil
-}
-
-// Throughput returns experiment iterations per cycle.
-func (c *Compiled) Throughput(e Experiment) (float64, error) {
-	inv, err := c.InverseThroughput(e)
-	if err != nil {
-		return 0, err
-	}
-	if inv == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / inv, nil
+	return v.Bounded(rmax), nil
 }
 
 // IPC returns instructions per cycle, capped at rmax if rmax > 0,
 // matching Mapping.IPC exactly.
 func (c *Compiled) IPC(e Experiment, rmax float64) (float64, error) {
-	v, err := c.evalExperiment(e)
+	v, err := c.Evaluate(e)
 	if err != nil {
 		return 0, err
 	}
-	n := float64(v.total)
-	if n == 0 {
-		return 0, nil
-	}
-	inv := v.inv
-	if rmax > 0 {
-		if lim := n / rmax; inv < lim {
-			inv = lim
-		}
-	}
-	if inv == 0 {
-		return math.Inf(1), nil
-	}
-	return n / inv, nil
+	return v.IPC(rmax), nil
 }

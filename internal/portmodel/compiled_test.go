@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"zenport/internal/lp"
@@ -76,13 +77,13 @@ func TestCompiledMatchesReferenceRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: reference witness: %v", trial, err)
 			}
-			gotQ, gotV, err := c.BottleneckWitness(e)
+			ev, err := c.Evaluate(e)
 			if err != nil {
 				t.Fatalf("trial %d: compiled witness: %v", trial, err)
 			}
-			if gotQ != refQ || gotV != refV {
-				t.Fatalf("trial %d, %v: compiled witness (%v, %v), reference (%v, %v)",
-					trial, e, gotQ, gotV, refQ, refV)
+			if ev.Witness != refQ || ev.Inv != refV || ev.Total != e.Len() {
+				t.Fatalf("trial %d, %v: compiled evaluation %+v, reference witness (%v, %v), total %d",
+					trial, e, ev, refQ, refV, e.Len())
 			}
 
 			rmax := float64(1 + rng.Intn(6))
@@ -114,9 +115,6 @@ func TestCompiledMatchesReferenceRandom(t *testing.T) {
 			w, total, err := c.WeightVector(e, nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := c.InverseThroughputWeights(w); got != refInv {
-				t.Fatalf("trial %d, %v: dense tp⁻¹ = %v, reference %v", trial, e, got, refInv)
 			}
 			if got := c.InverseThroughputBoundedWeights(w, total, rmax); got != refB {
 				t.Fatalf("trial %d, %v: dense bounded = %v, reference %v", trial, e, got, refB)
@@ -210,9 +208,56 @@ func TestCompiledSetUop(t *testing.T) {
 	}
 }
 
+// TestCompiledCountRange pins the interner's weight range: a count
+// that fits an int32 weight evaluates bit-identically to the
+// reference, and one above math.MaxInt32 is an error on every query
+// path instead of a silently truncated weight (4294967296 truncates
+// to 0, which used to answer tp⁻¹ = 0).
+func TestCompiledCountRange(t *testing.T) {
+	m := portmodel.NewMapping(3)
+	m.Set("a", portmodel.Usage{{Ports: portmodel.MakePortSet(0, 1), Count: 3}})
+	m.Set("b", portmodel.Usage{{Ports: portmodel.MakePortSet(2), Count: 1}})
+	c, err := portmodel.CompileMapping(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := portmodel.Experiment{"a": math.MaxInt32, "b": 1}
+	want, err := m.InverseThroughputBounded(at, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.InverseThroughputBounded(at, 5); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("count MaxInt32: compiled (%v, %v), reference %v", got, err, want)
+	}
+	for _, n := range []int{math.MaxInt32 + 1, 1 << 32, 1<<32 + 3} {
+		e := portmodel.Experiment{"a": n, "b": 1}
+		if err := compiledRangeErrors(c, e); err != nil {
+			t.Fatalf("count %d: %v", n, err)
+		}
+	}
+}
+
+// compiledRangeErrors checks that every experiment-keyed query and
+// WeightVector reject e, which holds a count above math.MaxInt32,
+// with the interner's range error.
+func compiledRangeErrors(c *portmodel.Compiled, e portmodel.Experiment) error {
+	_, err1 := c.Evaluate(e)
+	_, err2 := c.InverseThroughput(e)
+	_, err3 := c.InverseThroughputBounded(e, 5)
+	_, err4 := c.IPC(e, 0)
+	_, _, err5 := c.WeightVector(e, nil)
+	for _, err := range []error{err1, err2, err3, err4, err5} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d", math.MaxInt32)) {
+			return fmt.Errorf("%v: got %v, want the count range error", e, err)
+		}
+	}
+	return nil
+}
+
 // TestCompiledZeroAllocSteadyState proves the hot paths allocate
-// nothing once warm: the dense-weight queries never allocate, and the
-// Experiment-keyed queries stop allocating once memoized.
+// nothing once warm: neither the dense-weight queries nor the
+// Experiment-keyed ones, which reuse the weight scratch and touched
+// list.
 func TestCompiledZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMapping(rng, 10, 8, 3)
@@ -227,84 +272,92 @@ func TestCompiledZeroAllocSteadyState(t *testing.T) {
 	}
 
 	if avg := testing.AllocsPerRun(200, func() {
-		c.InverseThroughputWeights(w)
 		c.InverseThroughputBoundedWeights(w, total, 5)
 		c.BottleneckWitnessWeights(w)
 	}); avg != 0 {
 		t.Fatalf("dense-weight queries allocate %v per run, want 0", avg)
 	}
 
-	// Warm the memo, then the Experiment path must not allocate either.
-	if _, err := c.InverseThroughput(e); err != nil {
-		t.Fatal(err)
-	}
 	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := c.Evaluate(e); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.InverseThroughput(e); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.InverseThroughputBounded(e, 5); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.BottleneckWitness(e); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := c.IPC(e, 5); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("memoized experiment queries allocate %v per run, want 0", avg)
-	}
-
-	// Re-interning a fresh but equal experiment also stays allocation
-	// free: the weight scratch and key buffer are reused and the memo
-	// probe is a zero-copy map lookup.
-	e2 := e.Clone()
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := c.InverseThroughput(e2); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Fatalf("memo-hit experiment query allocates %v per run, want 0", avg)
+		t.Fatalf("experiment queries allocate %v per run, want 0", avg)
 	}
 }
 
 // FuzzCompiledMatchesReference drives randomized mapping/experiment
-// shapes from fuzz input bytes and checks bit-identity.
+// shapes from fuzz input bytes and checks bit-identity of every
+// experiment-keyed query with the reference: witness, tp⁻¹, and the
+// bounded tp⁻¹ and IPC at a fuzzed rmax in [0, 63.75] (rmax 0 is the
+// unbounded frontend). Schemes whose bit is set in zeroMask have no
+// µops, so experiments made only of them give tp⁻¹ 0 and, at rmax 0,
+// an IPC of +Inf. A count above math.MaxInt32 (over) must yield the
+// range error, not a value.
 func FuzzCompiledMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2))
-	f.Add(int64(99), uint8(10), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, ports, nkeys uint8) {
+	f.Add(int64(1), uint8(3), uint8(2), uint8(20), uint8(0), uint32(0))
+	f.Add(int64(99), uint8(10), uint8(6), uint8(0), uint8(0b101), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, seed int64, ports, nkeys, rmaxQ, zeroMask uint8, over uint32) {
 		numPorts := 1 + int(ports)%portmodel.MaxPorts
 		numKeys := 1 + int(nkeys)%8
+		rmax := float64(rmaxQ) / 4
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMapping(rng, numPorts, numKeys, 3)
+		for i := 0; i < numKeys; i++ {
+			if zeroMask&(1<<uint(i)) != 0 {
+				m.Set(fmt.Sprintf("insn%d", i), nil)
+			}
+		}
 		c, err := portmodel.CompileMapping(m, nil)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
 		for q := 0; q < 5; q++ {
 			e := randomExperiment(rng, numKeys)
-			want, err := m.InverseThroughput(e)
+			wantQ, wantInv, err := m.BottleneckWitness(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.InverseThroughput(e)
+			got, err := c.Evaluate(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("%v: compiled %v, reference %v", e, got, want)
+			if got.Witness != wantQ || math.Float64bits(got.Inv) != math.Float64bits(wantInv) {
+				t.Fatalf("%v: compiled (%v, %v), reference (%v, %v)", e, got.Witness, got.Inv, wantQ, wantInv)
 			}
-			wantQ, _, err := m.BottleneckWitness(e)
-			if err != nil {
+			for _, pair := range []struct {
+				name string
+				ref  func(portmodel.Experiment, float64) (float64, error)
+				comp func(portmodel.Experiment, float64) (float64, error)
+			}{
+				{"bounded tp⁻¹", m.InverseThroughputBounded, c.InverseThroughputBounded},
+				{"IPC", m.IPC, c.IPC},
+			} {
+				want, err := pair.ref(e, rmax)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := pair.comp(e, rmax)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v at rmax %v: %s compiled %v, reference %v", e, rmax, pair.name, got, want)
+				}
+			}
+			e["insn0"] = math.MaxInt32 + 1 + int(over)
+			if err := compiledRangeErrors(c, e); err != nil {
 				t.Fatal(err)
-			}
-			gotQ, _, err := c.BottleneckWitness(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotQ != wantQ {
-				t.Fatalf("%v: witness compiled %v, reference %v", e, gotQ, wantQ)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package portmodel
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -91,4 +92,64 @@ func TestUnmarshalCorruptInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMappingUnmarshalJSON feeds arbitrary bytes to UnmarshalJSON. It
+// must never panic, and a mapping it accepts must pass Validate,
+// survive a MarshalJSON round trip unchanged, and either fail to
+// compile or agree bit for bit with the reference evaluator on one
+// single-instruction experiment per scheme. The corpus under
+// testdata/fuzz/FuzzMappingUnmarshalJSON holds valid, zero-µop,
+// uncompilable and corrupt mappings.
+func FuzzMappingUnmarshalJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Mapping
+		if err := m.UnmarshalJSON(data); err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted mapping fails Validate: %v", err)
+		}
+		out, err := m.MarshalJSON()
+		if err != nil {
+			t.Fatalf("MarshalJSON: %v", err)
+		}
+		var back Mapping
+		if err := back.UnmarshalJSON(out); err != nil {
+			t.Fatalf("round trip of %s: %v", out, err)
+		}
+		if back.NumPorts != m.NumPorts || len(back.Usage) != len(m.Usage) {
+			t.Fatalf("round trip changed the mapping: %s", out)
+		}
+		for key, u := range m.Usage {
+			if bu, ok := back.Usage[key]; !ok || !bu.Equal(u) {
+				t.Fatalf("round trip changed scheme %q: %v -> %v", key, u, bu)
+			}
+		}
+		c, err := CompileMapping(&m, nil)
+		if err != nil {
+			return
+		}
+		for _, key := range m.Keys() {
+			e := Experiment{key: 1}
+			wantQ, wantInv, err := m.BottleneckWitness(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Evaluate(e)
+			if err != nil {
+				t.Fatalf("%q: compiled: %v", key, err)
+			}
+			if got.Witness != wantQ || math.Float64bits(got.Inv) != math.Float64bits(wantInv) {
+				t.Fatalf("%q: compiled (%v, %v), reference (%v, %v)", key, got.Witness, got.Inv, wantQ, wantInv)
+			}
+			wantIPC, err := m.IPC(e, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotIPC := got.IPC(0); math.Float64bits(gotIPC) != math.Float64bits(wantIPC) {
+				t.Fatalf("%q: compiled IPC %v, reference %v", key, gotIPC, wantIPC)
+			}
+		}
+	})
 }

@@ -10,8 +10,7 @@ import (
 // analysis sessions hammer a small set of hot basic blocks — so a
 // small LRU in front of the evaluator pool absorbs most of the
 // steady-state traffic while the bound keeps a long-running process
-// from turning the cache into a memory leak (the same failure mode
-// the Compiled memo cap fixes one layer down).
+// from turning the cache into a memory leak.
 type lruCache[V any] struct {
 	mu     sync.Mutex
 	cap    int

@@ -10,7 +10,7 @@ import (
 
 // evalPool hands out per-goroutine compiled evaluators for one
 // mapping. portmodel.Compiled is documented single-goroutine — its
-// scratch buffers and memo are unsynchronized by design, because the
+// scratch buffers are unsynchronized by design, because the
 // inference pipeline's hot loops own one evaluator each. A server
 // handling concurrent requests must therefore never share one
 // evaluator across handlers; this pool gives every in-flight request
@@ -19,24 +19,19 @@ import (
 // only what the runtime's pool shards need.
 //
 // Results are independent of which pooled evaluator answers a query:
-// a Compiled is a pure function of its mapping (the memo only caches
-// exact values), so pooling preserves the bit-identical-to-batch
-// guarantee the load driver asserts.
+// a Compiled is a pure function of its mapping and caches nothing, so
+// pooling preserves the bit-identical-to-batch guarantee that
+// zenload -verify asserts.
 type evalPool struct {
-	m *portmodel.Mapping
-	// memoLimit caps each evaluator's experiment memo; 0 keeps the
-	// portmodel default. Every pooled evaluator gets its own memo, so
-	// the worst-case memory is memoLimit × live evaluators — bounded
-	// by the request concurrency.
-	memoLimit int
-	pool      sync.Pool // holds *portmodel.Compiled
-	compiles  atomic.Uint64
+	m        *portmodel.Mapping
+	pool     sync.Pool // holds *portmodel.Compiled
+	compiles atomic.Uint64
 }
 
 // newEvalPool validates that the mapping compiles and returns a pool
 // for it.
-func newEvalPool(m *portmodel.Mapping, memoLimit int) (*evalPool, error) {
-	p := &evalPool{m: m, memoLimit: memoLimit}
+func newEvalPool(m *portmodel.Mapping) (*evalPool, error) {
+	p := &evalPool{m: m}
 	c, err := p.get(context.Background())
 	if err != nil {
 		return nil, err
@@ -60,9 +55,6 @@ func (p *evalPool) get(ctx context.Context) (*portmodel.Compiled, error) {
 	c, err := portmodel.CompileMapping(p.m, nil)
 	if err != nil {
 		return nil, err
-	}
-	if p.memoLimit != 0 {
-		c.SetMemoLimit(p.memoLimit)
 	}
 	p.compiles.Add(1)
 	return c, nil

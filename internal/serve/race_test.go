@@ -38,15 +38,15 @@ func raceMapping(t *testing.T) *portmodel.Mapping {
 // TestEvalPoolConcurrent is the race-detector regression test for the
 // evaluator pool: portmodel.Compiled is single-goroutine by contract,
 // and the bug class this guards against is two handlers sharing one
-// compiled evaluator (its scratch vectors and memo are unsynchronized
-// — the race detector flags that immediately). 64 goroutines hammer
+// compiled evaluator (its scratch vectors are unsynchronized — the
+// race detector flags that immediately). 64 goroutines hammer
 // the pool directly and every result is checked bit-identical to the
 // reference evaluator, so both exclusivity and correctness are
 // exercised. Run with -race; the Makefile race target includes this
 // package.
 func TestEvalPoolConcurrent(t *testing.T) {
 	m := raceMapping(t)
-	pool, err := newEvalPool(m, 128)
+	pool, err := newEvalPool(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func (s *Server) buildHandle(name string, m *portmodel.Mapping, gen uint64, old 
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: mapping %q: %w", name, err)
 	}
-	pool, err := newEvalPool(m, s.cfg.MemoLimit)
+	pool, err := newEvalPool(m)
 	if err != nil {
 		return nil, fmt.Errorf("serve: mapping %q: %w", name, err)
 	}
@@ -106,8 +106,8 @@ func (s *Server) buildHandle(name string, m *portmodel.Mapping, gen uint64, old 
 		generation:  gen,
 		keys:        m.Keys(),
 		pool:        pool,
-		cache:       newLRU[prediction](s.cfg.CacheSize),
-		flight:      engine.NewFlight[prediction](nil),
+		cache:       newLRU[portmodel.Evaluation](s.cfg.CacheSize),
+		flight:      engine.NewFlight[portmodel.Evaluation](nil),
 		breaker:     newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown, nil),
 	}
 	if old != nil && old.fingerprint == h.fingerprint {

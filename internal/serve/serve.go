@@ -53,10 +53,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -114,9 +116,6 @@ type Config struct {
 	CacheSize int
 	// MaxBodyBytes bounds request bodies (0 = default 1 MiB).
 	MaxBodyBytes int64
-	// MemoLimit caps each pooled evaluator's experiment memo
-	// (0 = portmodel.DefaultMemoLimit, negative = unbounded).
-	MemoLimit int
 	// MaxConcurrent bounds concurrent evaluator work (0 = default 64).
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for an evaluator slot
@@ -195,24 +194,12 @@ type handle struct {
 	generation  uint64
 	keys        []string // sorted scheme keys, the suggestion universe
 	pool        *evalPool
-	cache       *lruCache[prediction]
-	flight      *engine.Flight[prediction]
+	cache       *lruCache[portmodel.Evaluation]
+	flight      *engine.Flight[portmodel.Evaluation]
 	breaker     *breaker
 
 	evals     atomic.Uint64 // pool evaluations (cache+flight misses)
 	coalesced atomic.Uint64 // requests that joined an in-flight twin
-}
-
-// prediction is the cached evaluation of one canonical experiment
-// key. All fields are pure functions of (mapping, experiment, rmax),
-// so cache and singleflight sharing cannot change any served value.
-type prediction struct {
-	inv      float64 // tp^-1, unbounded (pure port model)
-	invB     float64 // max(tp^-1, total/rmax)
-	ipc      float64 // portmodel.Compiled.IPC(e, rmax)
-	witness  portmodel.PortSet
-	witnessV float64
-	total    int
 }
 
 // New returns a server with no mappings loaded.
@@ -371,10 +358,24 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeJSON emits a 200 JSON response.
+// jsonBufs recycles writeJSON's encode buffers, so encoding before
+// writing costs a copy per response rather than an allocation.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON emits a 200 JSON response. The body is encoded before
+// anything is written, so a value JSON cannot represent (a +Inf, say)
+// answers a 500 instead of a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.writeError(w, errf(http.StatusInternalServerError, "serve: response not representable as JSON"))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; nothing is left to report.
+	_, _ = w.Write(buf.Bytes())
 }
 
 // requireMethod rejects other HTTP methods with a stable message.
@@ -446,7 +447,8 @@ func (s *Server) lookup(name string) (*handle, error) {
 
 // ParseKernel parses the CLI kernel syntax "N*key; M*key" (the format
 // zenmap -predict uses) into an experiment. Scheme keys contain
-// commas, so terms are ';'-separated.
+// commas, so terms are ';'-separated. Repeated terms add up; a sum
+// that overflows an int is an error.
 func ParseKernel(sr string) (portmodel.Experiment, error) {
 	e := portmodel.Experiment{}
 	for _, t := range strings.Split(sr, ";") {
@@ -461,27 +463,39 @@ func ParseKernel(sr string) (portmodel.Experiment, error) {
 				t = strings.TrimSpace(t[i+1:])
 			}
 		}
-		e[t] += count
+		sum := e[t] + count
+		if (count > 0 && sum < e[t]) || (count < 0 && sum > e[t]) {
+			return nil, errf(http.StatusBadRequest, "serve: count of scheme %q overflows", t)
+		}
+		e[t] = sum
 	}
 	return e, nil
 }
 
 // experimentOf resolves the kernel-or-experiment pair of a request
-// body into a validated experiment over the handle's mapping.
+// body into a validated experiment over the handle's mapping. Every
+// input error is a 400 here, before the breaker and the gate, so bad
+// input never counts as an evaluator failure. Counts are checked after
+// ParseKernel has summed repeated terms; the evaluator's weights are
+// int32.
 func (h *handle) experimentOf(kernel string, exp map[string]int) (portmodel.Experiment, error) {
 	if kernel != "" && len(exp) > 0 {
 		return nil, errf(http.StatusBadRequest, "serve: specify either kernel or experiment, not both")
 	}
-	var e portmodel.Experiment
+	e := portmodel.Experiment(exp)
 	if kernel != "" {
-		e, _ = ParseKernel(kernel)
-	} else {
-		e = portmodel.Experiment(exp)
+		var err error
+		if e, err = ParseKernel(kernel); err != nil {
+			return nil, err
+		}
 	}
 	total := 0
 	for key, n := range e {
 		if n < 0 {
 			return nil, errf(http.StatusBadRequest, "serve: negative count %d for scheme %q", n, key)
+		}
+		if n > math.MaxInt32 {
+			return nil, errf(http.StatusBadRequest, "serve: count %d for scheme %q exceeds %d", n, key, math.MaxInt32)
 		}
 		if n == 0 {
 			continue
@@ -508,12 +522,12 @@ func (h *handle) experimentOf(kernel string, exp map[string]int) (portmodel.Expe
 // "mul;add" share one cache entry and concurrent identical queries
 // evaluate once. Cache hits bypass breaker and gate entirely: a
 // degraded or saturated mapping still answers its hot set.
-func (h *handle) predict(ctx context.Context, e portmodel.Experiment, rmax float64) (prediction, engine.FlightOutcome, error) {
+func (h *handle) predict(ctx context.Context, e portmodel.Experiment) (portmodel.Evaluation, engine.FlightOutcome, error) {
 	key := engine.CanonicalKey(e)
 	p, out, err := h.flight.Do(ctx, key,
-		func() (prediction, bool) { return h.cache.get(key) },
-		func() (prediction, error) { return h.evaluateGuarded(ctx, key, e, rmax) },
-		func(p prediction) { h.cache.add(key, p) },
+		func() (portmodel.Evaluation, bool) { return h.cache.get(key) },
+		func() (portmodel.Evaluation, error) { return h.evaluateGuarded(ctx, key, e) },
+		func(p portmodel.Evaluation) { h.cache.add(key, p) },
 		nil)
 	h.coalesced.Add(uint64(out.Joined))
 	return p, out, err
@@ -523,17 +537,17 @@ func (h *handle) predict(ctx context.Context, e portmodel.Experiment, rmax float
 // admission gate, reporting the outcome back to the breaker. Context
 // ends (deadline, disconnect) and shed requests are breaker aborts,
 // not failures: they say nothing about evaluator health.
-func (h *handle) evaluateGuarded(ctx context.Context, key string, e portmodel.Experiment, rmax float64) (prediction, error) {
+func (h *handle) evaluateGuarded(ctx context.Context, key string, e portmodel.Experiment) (portmodel.Evaluation, error) {
 	probe, ok := h.breaker.allow()
 	if !ok {
-		return prediction{}, h.degradedError()
+		return portmodel.Evaluation{}, h.degradedError()
 	}
 	if err := h.s.gate.acquire(ctx); err != nil {
 		h.breaker.abort(probe)
-		return prediction{}, h.s.shedError(err)
+		return portmodel.Evaluation{}, h.s.shedError(err)
 	}
 	defer h.s.gate.release()
-	p, err := h.evaluate(ctx, key, e, rmax)
+	p, err := h.evaluate(ctx, key, e)
 	switch {
 	case err == nil:
 		h.breaker.success(probe)
@@ -545,14 +559,17 @@ func (h *handle) evaluateGuarded(ctx context.Context, key string, e portmodel.Ex
 	return p, err
 }
 
-// evaluate computes a prediction on an exclusive pooled evaluator
-// under panic isolation: a panicking evaluation answers an error and
-// the evaluator is discarded (its scratch state is suspect), while
-// clean paths — including hook errors — return it to the pool.
-func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experiment, rmax float64) (p prediction, err error) {
+// evaluate evaluates an experiment once on an exclusive pooled
+// evaluator under panic isolation: a panicking evaluation answers an
+// error and the evaluator is discarded (its scratch state is
+// suspect), while clean paths — including hook errors — return it to
+// the pool. The evaluation is a pure function of (mapping,
+// experiment), so cache and singleflight sharing cannot change any
+// served value; handlers derive the rmax-bounded values from it.
+func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experiment) (p portmodel.Evaluation, err error) {
 	ev, err := h.pool.get(ctx)
 	if err != nil {
-		return prediction{}, err
+		return portmodel.Evaluation{}, err
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -567,23 +584,11 @@ func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experimen
 	}()
 	if hook := h.s.cfg.EvalHook; hook != nil {
 		if herr := hook(ctx, key); herr != nil {
-			return prediction{}, herr
+			return portmodel.Evaluation{}, herr
 		}
 	}
 	h.evals.Add(1)
-	q, inv, err := ev.BottleneckWitness(e)
-	if err != nil {
-		return prediction{}, err
-	}
-	invB, err := ev.InverseThroughputBounded(e, rmax)
-	if err != nil {
-		return prediction{}, err
-	}
-	ipc, err := ev.IPC(e, rmax)
-	if err != nil {
-		return prediction{}, err
-	}
-	return prediction{inv: inv, invB: invB, ipc: ipc, witness: q, witnessV: inv, total: e.Len()}, nil
+	return ev.Evaluate(e)
 }
 
 // ---- wire types ----
@@ -774,18 +779,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	p, out, err := h.predict(ctx, e, s.cfg.Rmax)
+	p, out, err := h.predict(ctx, e)
 	if err != nil {
 		s.writeError(w, err)
+		return
+	}
+	ipc := p.IPC(s.cfg.Rmax)
+	if math.IsInf(ipc, 0) {
+		s.writeError(w, errf(http.StatusUnprocessableEntity,
+			"serve: IPC is unbounded: the experiment has no µops and rmax sets no bound"))
 		return
 	}
 	s.writeJSON(w, PredictResponse{
 		Mapping:                h.name,
 		Experiment:             e,
-		Instructions:           p.total,
-		InvThroughput:          p.invB,
-		InvThroughputUnbounded: p.inv,
-		IPC:                    p.ipc,
+		Instructions:           p.Total,
+		InvThroughput:          p.Bounded(s.cfg.Rmax),
+		InvThroughputUnbounded: p.Inv,
+		IPC:                    ipc,
 		Rmax:                   s.cfg.Rmax,
 		Bottleneck:             bottleneckOf(p),
 		Cached:                 out.Hit,
@@ -824,7 +835,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	p, _, err := h.predict(ctx, e, s.cfg.Rmax)
+	p, _, err := h.predict(ctx, e)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -841,14 +852,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, ExplainResponse{
 		Mapping:       h.name,
 		Experiment:    e,
-		Instructions:  p.total,
+		Instructions:  p.Total,
 		NumPorts:      h.m.NumPorts,
-		InvThroughput: p.inv,
+		InvThroughput: p.Inv,
 		Bottleneck:    bn,
 		Schemes:       schemes,
 		Explanation: fmt.Sprintf(
 			"ports %v are the bottleneck: µop mass %.4g confined to them over %d port(s) gives tp⁻¹ = %.4g cycles/iteration",
-			bn.Ports, p.witnessV*float64(bn.Width), bn.Width, p.inv),
+			bn.Ports, p.Inv*float64(bn.Width), bn.Width, p.Inv),
 	})
 }
 
@@ -946,13 +957,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, out)
 }
 
-// bottleneckOf renders a prediction's witness.
-func bottleneckOf(p prediction) Bottleneck {
+// bottleneckOf renders an evaluation's witness.
+func bottleneckOf(p portmodel.Evaluation) Bottleneck {
 	return Bottleneck{
-		Ports: p.witness.Ports(),
-		Mask:  uint16(p.witness),
-		Width: p.witness.Size(),
-		Value: p.witnessV,
+		Ports: p.Witness.Ports(),
+		Mask:  uint16(p.Witness),
+		Width: p.Witness.Size(),
+		Value: p.Inv,
 	}
 }
 

@@ -78,8 +78,17 @@ func do(t *testing.T, s *Server, method, path, body string, out any) *httptest.R
 // stable error strings clients are allowed to match on.
 func TestHandlerErrorPaths(t *testing.T) {
 	s := newTestServer(t, Config{Rmax: 5, MaxBodyBytes: 512})
+	// noRmax serves a mapping with a zero-µop scheme and no frontend
+	// bound, the zenportd -rmax 0 configuration.
+	noRmax := New(Config{})
+	withNop := toyMapping()
+	withNop.Set("nop", nil)
+	if err := noRmax.Load("toy", withNop); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name       string
+		srv        *Server // nil = s
 		method     string
 		path       string
 		body       string
@@ -166,6 +175,39 @@ func TestHandlerErrorPaths(t *testing.T) {
 			wantErr:    `serve: negative count -3 for scheme "add"`,
 		},
 		{
+			// The evaluator's weights are int32: 4294967296 would
+			// truncate to 0 and answer tp⁻¹ = 0.
+			name:   "count above int32 range in experiment form",
+			method: http.MethodPost, path: "/v1/predict",
+			body:       `{"mapping": "toy", "experiment": {"add": 4294967296}}`,
+			wantStatus: http.StatusBadRequest,
+			wantErr:    `serve: count 4294967296 for scheme "add" exceeds 2147483647`,
+		},
+		{
+			// The range is checked after repeated terms are summed.
+			name:   "count above int32 range in kernel form",
+			method: http.MethodPost, path: "/v1/explain",
+			body:       `{"mapping": "toy", "kernel": "2147483647*add; add"}`,
+			wantStatus: http.StatusBadRequest,
+			wantErr:    `serve: count 2147483648 for scheme "add" exceeds 2147483647`,
+		},
+		{
+			// Without the overflow check the sum wraps to 1.
+			name:   "kernel count sum overflows",
+			method: http.MethodPost, path: "/v1/predict",
+			body:       `{"mapping": "toy", "kernel": "9223372036854775807*add; 9223372036854775807*add; 3*add"}`,
+			wantStatus: http.StatusBadRequest,
+			wantErr:    `serve: count of scheme "add" overflows`,
+		},
+		{
+			// IPC is +Inf, which JSON cannot carry.
+			name: "unbounded IPC", srv: noRmax,
+			method: http.MethodPost, path: "/v1/predict",
+			body:       `{"mapping": "toy", "experiment": {"nop": 1}}`,
+			wantStatus: http.StatusUnprocessableEntity,
+			wantErr:    "serve: IPC is unbounded: the experiment has no µops and rmax sets no bound",
+		},
+		{
 			name:   "kernel and experiment together",
 			method: http.MethodPost, path: "/v1/predict",
 			body:       `{"mapping": "toy", "kernel": "add", "experiment": {"mul": 1}}`,
@@ -210,7 +252,11 @@ func TestHandlerErrorPaths(t *testing.T) {
 			var env struct {
 				Error string `json:"error"`
 			}
-			w := do(t, s, tc.method, tc.path, tc.body, &env)
+			srv := tc.srv
+			if srv == nil {
+				srv = s
+			}
+			w := do(t, srv, tc.method, tc.path, tc.body, &env)
 			if w.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %q)", w.Code, tc.wantStatus, w.Body.String())
 			}
@@ -450,5 +496,25 @@ func TestParseKernel(t *testing.T) {
 		if e[k] != n {
 			t.Fatalf("parsed %v, want %v", e, want)
 		}
+	}
+}
+
+// TestWriteJSONUnrepresentable checks that a value JSON cannot encode
+// answers the stable 500 envelope, never a 200 with an empty body.
+func TestWriteJSONUnrepresentable(t *testing.T) {
+	s := New(Config{})
+	w := httptest.NewRecorder()
+	s.writeJSON(w, map[string]float64{"ipc": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %q)", w.Code, w.Body.String())
+	}
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("bad error envelope %q: %v", w.Body.String(), err)
+	}
+	if want := "serve: response not representable as JSON"; env.Error != want {
+		t.Fatalf("error = %q, want %q", env.Error, want)
 	}
 }
