@@ -89,9 +89,13 @@ bench-smoke:
 # JSON decoder (no panic; accepted mappings validate, round-trip and
 # compile to the reference), the simplex LP oracle
 # against the bottleneck-set evaluator, checkpoint lemma restoring,
-# the CDCL solver against brute-force enumeration, and the serving
+# the CDCL solver against brute-force enumeration, the serving
 # request decoder (no panic, no 5xx, every 200 equal to the compiled
-# evaluator). Go fuzzes one target of one package per run. A failing
+# evaluator), the persist journal decoder (no panic, keyed records,
+# valid prefix plus torn tail equal the file) and sealed-document
+# reader (no panic, an accepted payload re-seals unchanged), and the
+# canonical experiment key (order-independent, parses back to the
+# experiment). Go fuzzes one target of one package per run. A failing
 # input is written under the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
@@ -100,6 +104,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLemmas$$' -fuzztime 20s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveAgainstBruteForce$$' -fuzztime 20s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 20s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDocument$$' -fuzztime 20s ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalKey$$' -fuzztime 20s ./internal/engine/
 
 clean:
 	$(GO) clean ./...

@@ -1,31 +1,20 @@
 package persist
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
 )
 
 // Checkpointer saves and restores pipeline stage outcomes inside a
-// cache directory. Each checkpoint is one file, written atomically
-// (write temp, fsync, rename) and wrapped in an envelope carrying the
-// configuration fingerprint and a CRC-32C of the payload, so a
-// truncated, bit-flipped, or stale checkpoint is detected with an
-// error — never deserialized into a half-restored pipeline.
+// cache directory. Each checkpoint is one sealed document (see
+// WriteDocument), so a truncated, bit-flipped, or stale checkpoint is
+// detected with an error — never deserialized into a half-restored
+// pipeline.
 type Checkpointer struct {
 	dir         string
 	fingerprint string
-}
-
-// checkpointEnvelope is the on-disk form of one checkpoint.
-type checkpointEnvelope struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	CRC         uint32          `json:"crc"`
-	Payload     json.RawMessage `json:"payload"`
 }
 
 // checkpointName restricts checkpoint names to a safe filename
@@ -54,27 +43,16 @@ func (c *Checkpointer) path(name string) (string, error) {
 	return filepath.Join(c.dir, name+".ckpt.json"), nil
 }
 
-// Save marshals payload and writes the named checkpoint atomically.
+// Save writes the named checkpoint atomically.
 func (c *Checkpointer) Save(name string, payload any) error {
 	p, err := c.path(name)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(payload)
-	if err != nil {
+	if err := WriteDocument(p, c.fingerprint, payload); err != nil {
 		return fmt.Errorf("persist: checkpoint %s: %w", name, err)
 	}
-	env := checkpointEnvelope{
-		Version:     journalVersion,
-		Fingerprint: c.fingerprint,
-		CRC:         crc32.Checksum(body, castagnoli),
-		Payload:     body,
-	}
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return err
-	}
-	return atomicWrite(p, data)
+	return nil
 }
 
 // Load reads the named checkpoint into out. It returns (false, nil)
@@ -86,31 +64,11 @@ func (c *Checkpointer) Load(name string, out any) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
+	ok, err := ReadDocument(p, c.fingerprint, out)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("checkpoint %s: %w", name, err)
 	}
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return false, fmt.Errorf("%w: checkpoint %s: %v", ErrCorrupt, name, err)
-	}
-	if env.Version != journalVersion {
-		return false, fmt.Errorf("%w: checkpoint %s version %d, want %d", ErrCorrupt, name, env.Version, journalVersion)
-	}
-	if env.Fingerprint != c.fingerprint {
-		return false, fmt.Errorf("%w: checkpoint %s has %q, current configuration is %q",
-			ErrFingerprintMismatch, name, env.Fingerprint, c.fingerprint)
-	}
-	if crc32.Checksum(env.Payload, castagnoli) != env.CRC {
-		return false, fmt.Errorf("%w: checkpoint %s payload checksum mismatch", ErrCorrupt, name)
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
-		return false, fmt.Errorf("%w: checkpoint %s payload: %v", ErrCorrupt, name, err)
-	}
-	return true, nil
+	return ok, nil
 }
 
 // Clear removes all saved checkpoints (used when starting a fresh,

@@ -5,20 +5,23 @@
 // port-mapping inference approach; a crash or Ctrl-C near the end of
 // such a run must not throw that work away.
 //
-// The package provides three cooperating pieces:
+// Everything it writes takes one of two forms:
 //
 //   - an append-only result journal with length-prefixed, checksummed
 //     records (this file). Torn or corrupt tail records — the
 //     signature of a crash mid-write — are detected by CRC and
 //     truncated, never trusted;
-//   - a Store (store.go) that owns a cache directory: it loads the
-//     snapshot plus journal on startup to pre-warm the engine's
-//     result cache, records new results as they are executed, and
-//     compacts the journal into an atomic snapshot
-//     (write-temp, fsync, rename) at batch boundaries;
-//   - a Checkpointer (checkpoint.go) that saves each pipeline stage's
-//     outcome atomically so `-resume` restarts an interrupted run
-//     from the last completed stage.
+//   - a sealed document (document.go): a one-line header carrying
+//     version, fingerprint and payload checksum, then the payload
+//     JSON, written atomically (write-temp, fsync, rename).
+//
+// On top of them, a Store (store.go) owns a cache directory: it loads
+// the snapshot document plus journal on startup to pre-warm the
+// engine's result cache, records new results as they are executed,
+// and compacts the journal into the snapshot at batch boundaries. A
+// Checkpointer (checkpoint.go) saves each pipeline stage's outcome as
+// a document so `-resume` restarts an interrupted run from the last
+// completed stage.
 //
 // All persisted state is keyed by a caller-supplied fingerprint of
 // the processor/measurement configuration (seed, noise model, reps,
@@ -39,12 +42,16 @@ import (
 	"zenport/internal/engine"
 )
 
-// journalVersion is bumped on incompatible format changes; a journal
-// with a different version is discarded, not parsed.
-const journalVersion = 1
+// formatVersion is the version of the journal and document formats,
+// bumped on incompatible changes to either. State of another version
+// is stale: discarded on open, never parsed.
+const formatVersion = 2
 
-// castagnoli is the CRC-32C table used for record checksums.
+// castagnoli is the CRC-32C table of journal frame and document
+// payload checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func crc32Sum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // ErrFingerprintMismatch reports persisted state written under a
 // different processor/measurement configuration than the current one.
@@ -55,11 +62,26 @@ var ErrFingerprintMismatch = errors.New("persist: fingerprint mismatch (stale st
 // header or a checkpoint whose checksum does not match).
 var ErrCorrupt = errors.New("persist: corrupt state")
 
-// Header identifies a journal or snapshot: format version plus the
-// configuration fingerprint its records were measured under.
+// Header identifies a journal or document: format version plus the
+// configuration fingerprint its contents were measured under, and for
+// a document the CRC-32C of its payload.
 type Header struct {
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
+	CRC         uint32 `json:"crc,omitempty"`
+}
+
+// check rejects a header of another format version (ErrCorrupt) or
+// configuration (ErrFingerprintMismatch).
+func (h Header) check(fingerprint string) error {
+	if h.Version != formatVersion {
+		return fmt.Errorf("%w: version %d, want %d", ErrCorrupt, h.Version, formatVersion)
+	}
+	if h.Fingerprint != fingerprint {
+		return fmt.Errorf("%w: written under %q, current configuration is %q",
+			ErrFingerprintMismatch, h.Fingerprint, fingerprint)
+	}
+	return nil
 }
 
 // Record is one persisted measurement: the engine's canonical
@@ -88,7 +110,7 @@ func appendFrame(w io.Writer, payload []byte) error {
 	}
 	var hdr [frameOverhead]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32Sum(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -110,7 +132,7 @@ func readFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 		return nil, off, false
 	}
 	payload = data[off+frameOverhead : off+frameOverhead+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
+	if crc32Sum(payload) != sum {
 		return nil, off, false
 	}
 	return payload, off + frameOverhead + n, true
@@ -118,7 +140,7 @@ func readFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 
 // encodeHeaderFrame renders the journal header frame.
 func encodeHeaderFrame(fingerprint string) ([]byte, error) {
-	payload, err := json.Marshal(Header{Version: journalVersion, Fingerprint: fingerprint})
+	payload, err := json.Marshal(Header{Version: formatVersion, Fingerprint: fingerprint})
 	if err != nil {
 		return nil, err
 	}
@@ -157,20 +179,21 @@ func ReadJournal(path, fingerprint string) (*RecoveredJournal, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeJournal(data, fingerprint)
+}
+
+// decodeJournal recovers a journal from its bytes (see ReadJournal).
+func decodeJournal(data []byte, fingerprint string) (*RecoveredJournal, error) {
 	rec := &RecoveredJournal{}
 	payload, off, ok := readFrame(data, 0)
 	if !ok {
-		return nil, fmt.Errorf("%w: journal header unreadable in %s", ErrCorrupt, path)
+		return nil, fmt.Errorf("%w: journal header unreadable", ErrCorrupt)
 	}
 	if err := json.Unmarshal(payload, &rec.Header); err != nil {
 		return nil, fmt.Errorf("%w: journal header: %v", ErrCorrupt, err)
 	}
-	if rec.Header.Version != journalVersion {
-		return nil, fmt.Errorf("%w: journal version %d, want %d", ErrCorrupt, rec.Header.Version, journalVersion)
-	}
-	if rec.Header.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("%w: journal has %q, current configuration is %q",
-			ErrFingerprintMismatch, rec.Header.Fingerprint, fingerprint)
+	if err := rec.Header.check(fingerprint); err != nil {
+		return nil, err
 	}
 	rec.GoodSize = int64(off)
 	for off < len(data) {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -33,42 +32,10 @@ func (r *restoreRecorder) RestoreExecCount(kernel []string, executions uint64) {
 	r.mu.Unlock()
 }
 
-// TestLegacyRecordsGetQualityDefaults: journals written before the
-// quality field existed must decode as fully-kept, full-confidence
-// results — the semantics the fixed-Reps engine that wrote them had.
-func TestLegacyRecordsGetQualityDefaults(t *testing.T) {
-	dir := t.TempDir()
-	legacy := Record{Gen: 0, Key: "1*add", Result: engine.Result{
-		InvThroughput: 0.25, CPI: 0.25, OpsPerIteration: 1, Runs: 11, Spread: 0.03,
-	}}
-	writeJournal(t, filepath.Join(dir, journalFile), testFP, legacy)
-
-	s, err := Open(dir, testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res, ok := s.Generation(0)["1*add"]
-	if !ok {
-		t.Fatal("legacy record not recovered")
-	}
-	q := res.Quality
-	if q.Kept != 11 || q.Rejected != 0 {
-		t.Errorf("Kept/Rejected = %d/%d, want 11/0", q.Kept, q.Rejected)
-	}
-	if q.Spread != 0.03 {
-		t.Errorf("Quality.Spread = %v, want the record's raw spread 0.03", q.Spread)
-	}
-	if q.LowConfidence || q.Quarantined {
-		t.Errorf("legacy record flagged low-confidence: %+v", q)
-	}
-}
-
 // TestRestoreExecCountsSumsRuns: the restored per-kernel execution
 // count must be the sum of Result.Runs across generations — the
 // adaptive engine escalates past Reps, so a fixed gens×Reps count
-// would desynchronize resumed noise and fault streams. Records
-// without Runs accounting fall back to Reps.
+// would desynchronize resumed noise and fault streams.
 func TestRestoreExecCountsSumsRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, testFP)
@@ -77,7 +44,7 @@ func TestRestoreExecCountsSumsRuns(t *testing.T) {
 	}
 	s.Record(0, "1*add", engine.Result{InvThroughput: 0.25, Runs: 11, Quality: engine.Quality{Kept: 11}})
 	s.Record(1, "1*add", engine.Result{InvThroughput: 0.25, Runs: 33, Quality: engine.Quality{Kept: 30, Rejected: 3}})
-	s.Record(0, "1*imul", engine.Result{InvThroughput: 1.0}) // legacy: no Runs
+	s.Record(0, "1*imul", engine.Result{InvThroughput: 1.0, Runs: 11, Quality: engine.Quality{Kept: 11}})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +62,7 @@ func TestRestoreExecCountsSumsRuns(t *testing.T) {
 	if got := proc.restored["add"]; got != 44 {
 		t.Errorf("restored add = %d, want 11+33 = 44", got)
 	}
-	reps := uint64(eng.Reps)
-	if got := proc.restored["imul"]; got != reps {
-		t.Errorf("restored imul = %d, want Reps fallback %d", got, reps)
+	if got := proc.restored["imul"]; got != 11 {
+		t.Errorf("restored imul = %d, want 11", got)
 	}
 }

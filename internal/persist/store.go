@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -114,31 +113,16 @@ func MaxEpoch(dir string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var max uint64
-	for _, f := range journals {
-		if f.epoch > max {
-			max = f.epoch
-		}
+	var highest uint64
+	for _, f := range append(journals, snapshots...) {
+		highest = max(highest, f.epoch)
 	}
-	for _, f := range snapshots {
-		if f.epoch > max {
-			max = f.epoch
-		}
-	}
-	return max, nil
+	return highest, nil
 }
 
 // compactThreshold is the journal size (bytes) past which a batch
 // boundary triggers compaction into the snapshot.
 const compactThreshold = 256 << 10
-
-// snapshot is the compacted on-disk form of the store: every record
-// of every generation, sorted for stable output, under a checked
-// header.
-type snapshot struct {
-	Header  Header   `json:"header"`
-	Records []Record `json:"records"`
-}
 
 // Store is the crash-safe measurement cache: a snapshot plus an
 // append-only journal inside one cache directory. It implements
@@ -169,9 +153,8 @@ type Store struct {
 
 	mu      sync.Mutex
 	journal *os.File
-	// records holds the merged snapshot+journal state: gen -> key ->
-	// result.
-	records map[uint64]map[string]Record
+	// records holds the merged snapshot+journal state.
+	records recordSet
 	// journalBytes tracks the journal size for the compaction
 	// threshold.
 	journalBytes int64
@@ -204,102 +187,53 @@ func Open(dir, fingerprint string) (*Store, error) {
 // directory a strictly increasing epoch, which is what keeps a stolen
 // slice safe from its previous — possibly merely hung — owner.
 func OpenEpoch(dir, fingerprint string, epoch uint64) (*Store, error) {
-	if fingerprint == "" {
-		return nil, fmt.Errorf("persist: empty fingerprint")
+	st, err := loadState(dir, fingerprint)
+	if err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, fingerprint: fingerprint, epoch: epoch, records: make(map[uint64]map[string]Record)}
-
-	journals, snapshots, err := listEpochFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	// Snapshots first: they hold the compacted history of each epoch.
-	for _, sf := range snapshots {
-		snap, err := readSnapshot(sf.path, fingerprint)
-		switch {
-		case err == nil:
-			for _, r := range snap {
-				s.insert(r)
-			}
-		case isStale(err):
-			s.logf("persist: discarding snapshot %s: %v", filepath.Base(sf.path), err)
-			if err := os.Remove(sf.path); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		default:
+	s := &Store{dir: dir, fingerprint: fingerprint, epoch: epoch, records: st.records}
+	for _, f := range st.stale {
+		s.logf("persist: discarding %s: %v", filepath.Base(f.path), f.err)
+		if err := os.Remove(f.path); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
 	}
-
-	// Journals on top: records since each epoch's last compaction. Only
-	// our own epoch's journal is truncated to its valid prefix — other
-	// epochs' files are not ours to rewrite (a hung previous owner may
-	// still hold an open descriptor on its own journal).
 	var ownGood int64
-	for _, jf := range journals {
-		rec, err := ReadJournal(jf.path, fingerprint)
-		switch {
-		case err == nil:
-			if rec.TornBytes > 0 {
-				s.logf("persist: ignoring %d torn byte(s) in %s after crash", rec.TornBytes, filepath.Base(jf.path))
-			}
-			for _, r := range rec.Records {
-				s.insert(r)
-			}
-			if len(rec.Records) > 0 {
-				s.dirty = true
-			}
-			if jf.epoch == epoch {
-				ownGood = rec.GoodSize
-			}
-		case isStale(err):
-			s.logf("persist: discarding journal %s: %v", filepath.Base(jf.path), err)
-			if err := os.Remove(jf.path); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		default:
-			return nil, err
+	for _, j := range st.journals {
+		if j.TornBytes > 0 {
+			s.logf("persist: ignoring %d torn byte(s) in %s after crash", j.TornBytes, filepath.Base(j.path))
+		}
+		if len(j.Records) > 0 {
+			s.dirty = true
+		}
+		if j.epoch == epoch {
+			ownGood = j.GoodSize
 		}
 	}
 
 	// Open our epoch's journal for appending, truncated to its valid
-	// prefix (or freshly created with a header frame).
-	jpath := filepath.Join(dir, journalName(epoch))
-	f, err := os.OpenFile(jpath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	// prefix (or freshly created with a header frame). Only our own
+	// epoch's journal is rewritten: other epochs' files are not ours
+	// (a hung previous owner may still hold an open descriptor on its
+	// own journal).
+	if s.journal, err = os.OpenFile(filepath.Join(dir, journalName(epoch)), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 		return nil, err
 	}
 	if ownGood > 0 {
-		if err := f.Truncate(ownGood); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(ownGood, 0); err != nil {
-			f.Close()
-			return nil, err
+		if err = s.journal.Truncate(ownGood); err == nil {
+			_, err = s.journal.Seek(ownGood, 0)
 		}
 		s.journalBytes = ownGood
 	} else {
-		hdr, err := encodeHeaderFrame(fingerprint)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.journalBytes = int64(len(hdr))
+		err = s.resetJournal()
 	}
-	s.journal = f
+	if err != nil {
+		s.journal.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -318,23 +252,42 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// insert merges one record into the in-memory state (last write
-// wins; identical keys within a generation hold identical results by
-// construction). Records written before the quality field existed
-// decode with a zero Quality; they are normalized to "all samples
-// kept, raw spread, full confidence", the semantics the fixed-Reps
-// engine they came from actually had.
-func (s *Store) insert(r Record) {
-	if r.Result.Runs > 0 && r.Result.Quality.Kept == 0 {
-		r.Result.Quality.Kept = r.Result.Runs
-		r.Result.Quality.Spread = r.Result.Spread
-	}
-	g, ok := s.records[r.Gen]
+// recordSet is the merged persisted state: gen -> key -> record.
+type recordSet map[uint64]map[string]Record
+
+// insert merges one record (last write wins; identical keys within a
+// generation hold identical results by construction).
+func (rs recordSet) insert(r Record) {
+	g, ok := rs[r.Gen]
 	if !ok {
 		g = make(map[string]Record)
-		s.records[r.Gen] = g
+		rs[r.Gen] = g
 	}
 	g[r.Key] = r
+}
+
+// sorted flattens the set in (gen, key) order, for stable snapshots
+// and merges.
+func (rs recordSet) sorted() []Record {
+	gens := make([]uint64, 0, len(rs))
+	n := 0
+	for g, recs := range rs {
+		gens = append(gens, g)
+		n += len(recs)
+	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	out := make([]Record, 0, n)
+	for _, g := range gens {
+		keys := make([]string, 0, len(rs[g]))
+		for k := range rs[g] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			out = append(out, rs[g][k])
+		}
+	}
+	return out
 }
 
 // Record implements engine.PersistHook: append the newly executed
@@ -346,7 +299,7 @@ func (s *Store) Record(gen uint64, key string, r engine.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := Record{Gen: gen, Key: key, Result: r}
-	s.insert(rec)
+	s.records.insert(rec)
 	if s.journal == nil {
 		return
 	}
@@ -417,14 +370,7 @@ func (s *Store) compactLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	snap := snapshot{Header: Header{Version: journalVersion, Fingerprint: s.fingerprint}}
-	snap.Records = s.sortedRecordsLocked()
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return err
-	}
-	sum := fmt.Sprintf("%08x", crc32Sum(data))
-	if err := atomicWrite(filepath.Join(s.dir, snapshotName(s.epoch)), append([]byte(sum+"\n"), data...)); err != nil {
+	if err := WriteDocument(filepath.Join(s.dir, snapshotName(s.epoch)), s.fingerprint, s.records.sorted()); err != nil {
 		return err
 	}
 	s.removeOlderEpochsLocked()
@@ -432,6 +378,18 @@ func (s *Store) compactLocked() error {
 		s.dirty = false
 		return nil
 	}
+	if err := s.resetJournal(); err != nil {
+		return err
+	}
+	if err := s.journal.Sync(); err != nil {
+		return err
+	}
+	s.dirty = false
+	return nil
+}
+
+// resetJournal truncates this epoch's journal to its header frame.
+func (s *Store) resetJournal() error {
 	hdr, err := encodeHeaderFrame(s.fingerprint)
 	if err != nil {
 		return err
@@ -445,11 +403,7 @@ func (s *Store) compactLocked() error {
 	if _, err := s.journal.Write(hdr); err != nil {
 		return err
 	}
-	if err := s.journal.Sync(); err != nil {
-		return err
-	}
 	s.journalBytes = int64(len(hdr))
-	s.dirty = false
 	return nil
 }
 
@@ -486,7 +440,7 @@ func (s *Store) AbsorbRecords(recs []Record) {
 		if r.Key == "" {
 			continue
 		}
-		s.insert(r)
+		s.records.insert(r)
 	}
 	if len(recs) > 0 {
 		s.dirty = true
@@ -496,14 +450,65 @@ func (s *Store) AbsorbRecords(recs []Record) {
 // ReadState recovers every record persisted in dir — all epochs'
 // snapshots and journals, ascending epoch order, later epochs winning —
 // without opening the directory for writing. Unlike OpenEpoch it treats
-// a fingerprint mismatch as a hard error rather than invalidating the
-// files: the campaign merge uses ReadState to *validate* that each
-// slice was measured under the campaign fingerprint, and silently
-// discarding a mismatched slice would turn a configuration error into
-// quietly missing data. Torn journal tails are still tolerated (the
-// valid prefix is returned), and a directory with no persisted state
-// returns no records.
+// a stale or damaged file as a hard error rather than invalidating it:
+// the campaign merge uses ReadState to *validate* that each slice was
+// measured under the campaign fingerprint, and silently discarding a
+// mismatched slice would turn a configuration error into quietly
+// missing data. Torn journal tails are still tolerated (the valid
+// prefix is returned), and a directory with no persisted state returns
+// no records.
 func ReadState(dir, fingerprint string) ([]Record, error) {
+	st, err := loadState(dir, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	if len(st.stale) > 0 {
+		return nil, fmt.Errorf("%s: %w", filepath.Base(st.stale[0].path), st.stale[0].err)
+	}
+	return st.records.sorted(), nil
+}
+
+// loadedState is what loadState recovers from a cache directory.
+type loadedState struct {
+	records recordSet
+	// journals are the journals that passed validation, by ascending
+	// epoch, with their valid prefix and torn tail.
+	journals []loadedJournal
+	// stale are the files that failed validation (ErrCorrupt or
+	// ErrFingerprintMismatch), in reading order; none of their
+	// records are in records.
+	stale []staleFile
+}
+
+type loadedJournal struct {
+	epoch uint64
+	path  string
+	*RecoveredJournal
+}
+
+type staleFile struct {
+	path string
+	err  error
+}
+
+// reject records a file that failed to load: a stale one (ErrCorrupt,
+// ErrFingerprintMismatch) joins st.stale, any other error aborts the
+// load.
+func (st *loadedState) reject(path string, err error) error {
+	if !isStale(err) {
+		return fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	st.stale = append(st.stale, staleFile{path, err})
+	return nil
+}
+
+// loadState merges the snapshots and journals of every writer epoch
+// in dir: snapshots first (each epoch's compacted history), then the
+// journals (records since each epoch's last compaction), each in
+// ascending epoch order, later files winning. It is the one recovery
+// path of OpenEpoch and ReadState; what a stale file means is theirs
+// to decide. Other I/O errors abort.
+func loadState(dir, fingerprint string) (*loadedState, error) {
 	if fingerprint == "" {
 		return nil, fmt.Errorf("persist: empty fingerprint")
 	}
@@ -511,72 +516,39 @@ func ReadState(dir, fingerprint string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged := make(map[uint64]map[string]Record)
-	insert := func(r Record) {
-		g, ok := merged[r.Gen]
-		if !ok {
-			g = make(map[string]Record)
-			merged[r.Gen] = g
+	st := &loadedState{records: make(recordSet)}
+	for _, f := range snapshots {
+		var recs []Record
+		_, err := ReadDocument(f.path, fingerprint, &recs)
+		for i := 0; err == nil && i < len(recs); i++ {
+			if recs[i].Key == "" {
+				err = fmt.Errorf("%w: snapshot record with empty key", ErrCorrupt)
+			}
 		}
-		g[r.Key] = r
-	}
-	for _, sf := range snapshots {
-		recs, err := readSnapshot(sf.path, fingerprint)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(sf.path), err)
+			if err := st.reject(f.path, err); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		for _, r := range recs {
-			insert(r)
+			st.records.insert(r)
 		}
 	}
-	for _, jf := range journals {
-		rec, err := ReadJournal(jf.path, fingerprint)
+	for _, f := range journals {
+		rec, err := ReadJournal(f.path, fingerprint)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(jf.path), err)
+			if err := st.reject(f.path, err); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		for _, r := range rec.Records {
-			insert(r)
+			st.records.insert(r)
 		}
+		st.journals = append(st.journals, loadedJournal{f.epoch, f.path, rec})
 	}
-	var out []Record
-	var gens []uint64
-	for g := range merged {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	for _, g := range gens {
-		keys := make([]string, 0, len(merged[g]))
-		for k := range merged[g] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, merged[g][k])
-		}
-	}
-	return out, nil
-}
-
-// sortedRecordsLocked flattens the in-memory state in (gen, key)
-// order for stable snapshots.
-func (s *Store) sortedRecordsLocked() []Record {
-	var out []Record
-	var gens []uint64
-	for g := range s.records {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	for _, g := range gens {
-		keys := make([]string, 0, len(s.records[g]))
-		for k := range s.records[g] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, s.records[g][k])
-		}
-	}
-	return out
+	return st, nil
 }
 
 // Close compacts outstanding journal records into the snapshot and
@@ -627,27 +599,17 @@ func (s *Store) Attach(eng *engine.Engine) error {
 // kernel was executed by prior runs. Each stored result carries its
 // own successful-execution total in Result.Runs (the adaptive engine
 // may escalate past Reps), so the count is the sum of Runs across the
-// generations holding the key. Records that predate the Runs
-// accounting fall back to Reps, the fixed repetition count the engine
-// that wrote them used.
+// generations holding the key.
 func (s *Store) restoreExecCounts(eng *engine.Engine) error {
 	rest, ok := eng.P.(engine.ExecCountRestorer)
 	if !ok {
 		return nil
 	}
-	reps := eng.Reps
-	if reps < 1 {
-		reps = 1
-	}
 	s.mu.Lock()
 	counts := make(map[string]uint64)
 	for _, g := range s.records {
 		for key, r := range g {
-			if r.Result.Runs > 0 {
-				counts[key] += uint64(r.Result.Runs)
-			} else {
-				counts[key] += uint64(reps)
-			}
+			counts[key] += uint64(r.Result.Runs)
 		}
 	}
 	s.mu.Unlock()
@@ -681,81 +643,4 @@ func ParseCanonicalKey(key string) (portmodel.Experiment, error) {
 		e[term[i+1:]] += n
 	}
 	return e, nil
-}
-
-// readSnapshot loads and validates a snapshot file: a CRC line
-// followed by the JSON body, checked against the fingerprint.
-func readSnapshot(path, fingerprint string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl != 8 {
-		return nil, fmt.Errorf("%w: snapshot checksum line malformed", ErrCorrupt)
-	}
-	body := data[nl+1:]
-	if fmt.Sprintf("%08x", crc32Sum(body)) != string(data[:nl]) {
-		return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
-	var snap snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
-	}
-	if snap.Header.Version != journalVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrCorrupt, snap.Header.Version, journalVersion)
-	}
-	if snap.Header.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("%w: snapshot has %q, current configuration is %q",
-			ErrFingerprintMismatch, snap.Header.Fingerprint, fingerprint)
-	}
-	for _, r := range snap.Records {
-		if r.Key == "" {
-			return nil, fmt.Errorf("%w: snapshot record with empty key", ErrCorrupt)
-		}
-	}
-	return snap.Records, nil
-}
-
-func crc32Sum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
-
-// WriteFileAtomic writes data to path via a temp file in the same
-// directory (write, fsync, rename). The shard layer uses it for lease,
-// manifest, and result files, which are read without locks and must
-// therefore never be observed torn.
-func WriteFileAtomic(path string, data []byte) error { return atomicWrite(path, data) }
-
-// atomicWrite writes data to path via a temp file in the same
-// directory: write, fsync, rename — so readers observe either the old
-// or the new content, never a torn mix.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -3,6 +3,7 @@ package portmodel
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // jsonUop is the wire form of a µop: explicit port list instead of a
@@ -46,10 +47,17 @@ func (m *Mapping) UnmarshalJSON(data []byte) error {
 	m.Usage = make(map[string]Usage, len(in.Usage))
 	for key, ju := range in.Usage {
 		u := make(Usage, 0, len(ju))
+		total := 0
 		for _, x := range ju {
 			if x.Count < 0 {
 				return fmt.Errorf("portmodel: scheme %q: negative µop count %d", key, x.Count)
 			}
+			// Normalize sums the counts of µops with equal port sets;
+			// bounding the scheme's total keeps every such sum exact.
+			if x.Count > math.MaxInt-total {
+				return fmt.Errorf("portmodel: scheme %q: µop counts overflow an int", key)
+			}
+			total += x.Count
 			var ps PortSet
 			for _, p := range x.Ports {
 				if p < 0 || p >= in.NumPorts {

@@ -63,6 +63,13 @@ func TestUnmarshalCorruptInputs(t *testing.T) {
 			wantErr: `scheme "imul": negative µop count -2`,
 		},
 		{
+			// Four µops of count 2⁶² and one of count 1 share a port
+			// set; their sum wraps to 1 unless rejected.
+			name:    "count sum overflows",
+			json:    `{"num_ports":2,"usage":{"x":[{"ports":[0],"count":4611686018427387904},{"ports":[0],"count":4611686018427387904},{"ports":[0],"count":4611686018427387904},{"ports":[0],"count":4611686018427387904},{"ports":[0],"count":1}]}}`,
+			wantErr: `scheme "x": µop counts overflow`,
+		},
+		{
 			name:    "usage wrong type",
 			json:    `{"num_ports":4,"usage":{"add":"two uops"}}`,
 			wantErr: "cannot unmarshal",

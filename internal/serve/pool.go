@@ -15,8 +15,10 @@ import (
 // handling concurrent requests must therefore never share one
 // evaluator across handlers; this pool gives every in-flight request
 // exclusive use of a compiled evaluator and recycles them through a
-// sync.Pool, so steady-state serving compiles nothing and allocates
-// only what the runtime's pool shards need.
+// free list. The list keeps at most max evaluators — the admission
+// gate's concurrency bound, so every evaluator a gated burst compiled
+// is kept — and the garbage collector never empties it, so
+// steady-state serving compiles nothing.
 //
 // Results are independent of which pooled evaluator answers a query:
 // a Compiled is a pure function of its mapping and caches nothing, so
@@ -24,14 +26,16 @@ import (
 // zenload -verify asserts.
 type evalPool struct {
 	m        *portmodel.Mapping
-	pool     sync.Pool // holds *portmodel.Compiled
+	max      int
+	mu       sync.Mutex
+	free     []*portmodel.Compiled
 	compiles atomic.Uint64
 }
 
 // newEvalPool validates that the mapping compiles and returns a pool
-// for it.
-func newEvalPool(m *portmodel.Mapping) (*evalPool, error) {
-	p := &evalPool{m: m}
+// for it that keeps up to max idle evaluators.
+func newEvalPool(m *portmodel.Mapping, max int) (*evalPool, error) {
+	p := &evalPool{m: m, max: max}
 	c, err := p.get(context.Background())
 	if err != nil {
 		return nil, err
@@ -41,17 +45,22 @@ func newEvalPool(m *portmodel.Mapping) (*evalPool, error) {
 }
 
 // get returns an exclusive evaluator, compiling a fresh one when the
-// pool is empty (startup, or after the GC trimmed it). A context that
-// already ended returns its error instead: a request whose deadline
-// expired while queued must not check out an evaluator it will never
-// use.
+// free list is empty (startup, or more requests in flight than ever
+// before). A context that already ended returns its error instead: a
+// request whose deadline expired while queued must not check out an
+// evaluator it will never use.
 func (p *evalPool) get(ctx context.Context) (*portmodel.Compiled, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if v := p.pool.Get(); v != nil {
-		return v.(*portmodel.Compiled), nil
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return c, nil
 	}
+	p.mu.Unlock()
 	c, err := portmodel.CompileMapping(p.m, nil)
 	if err != nil {
 		return nil, err
@@ -60,5 +69,12 @@ func (p *evalPool) get(ctx context.Context) (*portmodel.Compiled, error) {
 	return c, nil
 }
 
-// put returns an evaluator to the pool.
-func (p *evalPool) put(c *portmodel.Compiled) { p.pool.Put(c) }
+// put returns an evaluator to the free list, dropping it when the list
+// is full.
+func (p *evalPool) put(c *portmodel.Compiled) {
+	p.mu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, c)
+	}
+	p.mu.Unlock()
+}

@@ -46,7 +46,7 @@ func raceMapping(t *testing.T) *portmodel.Mapping {
 // package.
 func TestEvalPoolConcurrent(t *testing.T) {
 	m := raceMapping(t)
-	pool, err := newEvalPool(m)
+	pool, err := newEvalPool(m, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func (s *Server) buildHandle(name string, m *portmodel.Mapping, gen uint64, old 
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: mapping %q: %w", name, err)
 	}
-	pool, err := newEvalPool(m)
+	pool, err := newEvalPool(m, s.cfg.MaxConcurrent)
 	if err != nil {
 		return nil, fmt.Errorf("serve: mapping %q: %w", name, err)
 	}

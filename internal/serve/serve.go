@@ -17,9 +17,9 @@
 //
 //   - an evaluator pool (evalPool): portmodel.Compiled is
 //     single-goroutine by contract, so every in-flight request
-//     borrows an exclusive evaluator from a sync.Pool — no locks on
-//     the evaluation itself, no shared scratch state, race-detector
-//     clean at any concurrency;
+//     borrows an exclusive evaluator from a bounded free list — no
+//     locks on the evaluation itself, no shared scratch state,
+//     race-detector clean at any concurrency;
 //   - in-flight deduplication (engine.Flight): concurrent identical
 //     requests — same canonical experiment key, the engine's cache
 //     identity — evaluate once and share the result;

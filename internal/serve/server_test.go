@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -460,6 +461,33 @@ func TestMappingsAndStats(t *testing.T) {
 	do(t, s, http.MethodGet, "/healthz", "", &health)
 	if health.Status != "ok" || len(health.Mappings) != 2 {
 		t.Fatalf("healthz = %+v", health)
+	}
+}
+
+// TestEvalPoolSurvivesGC: pooled evaluators must outlive garbage
+// collection. Each recompile costs the whole mapping, so a pool the GC
+// can empty makes served latency depend on GC timing.
+func TestEvalPoolSurvivesGC(t *testing.T) {
+	s := newTestServer(t, Config{Rmax: 5})
+	compiles := func() uint64 {
+		var st StatsResponse
+		do(t, s, http.MethodGet, "/v1/stats", "", &st)
+		for _, m := range st.Mappings {
+			if m.Name == "toy" {
+				return m.PoolCompiles
+			}
+		}
+		t.Fatal("stats: mapping toy missing")
+		return 0
+	}
+	do(t, s, http.MethodPost, "/v1/predict", `{"mapping":"toy","kernel":"add"}`, nil)
+	before := compiles()
+	runtime.GC()
+	runtime.GC()
+	// A different kernel, so the LRU cannot answer it.
+	do(t, s, http.MethodPost, "/v1/predict", `{"mapping":"toy","kernel":"2*add"}`, nil)
+	if after := compiles(); after != before {
+		t.Fatalf("pool compiles %d -> %d across two GCs, want no recompile", before, after)
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,21 +24,22 @@ import (
 // snapshot absorbing every slice's measurements (the regular persist
 // epoch-0 files).
 const (
-	manifestFile    = "campaign.json"
-	campaignLock    = "campaign.lock"
-	manifestVersion = 1
+	manifestFile = "campaign.json"
+	campaignLock = "campaign.lock"
 )
 
-// Manifest pins a campaign's configuration: every shard process (and
-// the merge) validates against it, so shards of different
-// configurations cannot silently share a directory.
+// Manifest pins a campaign's configuration: it is a sealed document
+// under the campaign fingerprint, which every shard process (and the
+// merge) validates against, so shards of different configurations
+// cannot silently share a directory.
 type Manifest struct {
-	Version     int    `json:"version"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      int    `json:"shards"`
+	Shards int `json:"shards"`
 	// Slices is the deterministic partition of the scheme universe;
 	// slice i is owned by whoever holds slice-i's lease.
 	Slices [][]string `json:"slices"`
+	// fingerprint is the campaign fingerprint the manifest is sealed
+	// under; slice results are sealed under it too.
+	fingerprint string
 }
 
 // SliceDir returns the directory of slice i under the campaign root.
@@ -69,47 +69,40 @@ func EnsureManifest(dir, fingerprint string, shards int, universe []string) (*Ma
 	}
 	defer lk.Unlock()
 
-	want := &Manifest{
-		Version:     manifestVersion,
-		Fingerprint: fingerprint,
-		Shards:      shards,
-		Slices:      Partition(universe, shards),
-	}
-	path := filepath.Join(dir, manifestFile)
-	data, err := os.ReadFile(path)
+	want := &Manifest{Shards: shards, Slices: Partition(universe, shards), fingerprint: fingerprint}
+	have, err := readManifest(dir, fingerprint)
 	switch {
-	case err == nil:
-		var have Manifest
-		if err := json.Unmarshal(data, &have); err != nil {
-			return nil, fmt.Errorf("shard: corrupt manifest %s: %w", path, err)
-		}
-		if have.Version != manifestVersion {
-			return nil, fmt.Errorf("shard: manifest %s has version %d, want %d", path, have.Version, manifestVersion)
-		}
-		if have.Fingerprint != want.Fingerprint {
-			return nil, fmt.Errorf("shard: campaign %s was created under fingerprint %q, current configuration is %q",
-				dir, have.Fingerprint, want.Fingerprint)
-		}
-		if have.Shards != want.Shards {
-			return nil, fmt.Errorf("shard: campaign %s was created with %d shard(s), this run wants %d",
-				dir, have.Shards, want.Shards)
-		}
-		if !reflect.DeepEqual(have.Slices, want.Slices) {
-			return nil, fmt.Errorf("shard: campaign %s partitions a different scheme universe", dir)
-		}
-		return &have, nil
-	case os.IsNotExist(err):
-		out, err := json.MarshalIndent(want, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := persist.WriteFileAtomic(path, out); err != nil {
+	case err != nil:
+		return nil, err
+	case have == nil:
+		if err := persist.WriteDocument(filepath.Join(dir, manifestFile), fingerprint, want); err != nil {
 			return nil, err
 		}
 		return want, nil
-	default:
-		return nil, err
+	case have.Shards != want.Shards:
+		return nil, fmt.Errorf("shard: campaign %s was created with %d shard(s), this run wants %d",
+			dir, have.Shards, want.Shards)
+	case !reflect.DeepEqual(have.Slices, want.Slices):
+		return nil, fmt.Errorf("shard: campaign %s partitions a different scheme universe", dir)
 	}
+	return have, nil
+}
+
+// readManifest reads and validates the campaign manifest under
+// fingerprint; (nil, nil) when the campaign has none yet.
+func readManifest(dir, fingerprint string) (*Manifest, error) {
+	path := filepath.Join(dir, manifestFile)
+	m := &Manifest{fingerprint: fingerprint}
+	ok, err := persist.ReadDocument(path, fingerprint, m)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("shard: manifest %s: %w", path, err)
+	case !ok:
+		return nil, nil
+	case m.Shards != len(m.Slices):
+		return nil, fmt.Errorf("shard: manifest %s declares %d shard(s) but %d slice(s)", path, m.Shards, len(m.Slices))
+	}
+	return m, nil
 }
 
 // SliceRun is the work order the runner hands the pipeline callback:
@@ -271,7 +264,7 @@ func Run(ctx context.Context, cfg Config) (*Status, error) {
 				continue
 			}
 			sdir := SliceDir(cfg.Dir, s)
-			res, err := ReadSliceResult(sdir, m.Fingerprint, s)
+			res, err := ReadSliceResult(sdir, m.fingerprint, s)
 			if err != nil {
 				return st, err
 			}
@@ -399,16 +392,15 @@ func runSlice(ctx context.Context, cfg *Config, s int, h *Handle) (bool, error) 
 		return false, fmt.Errorf("shard: slice %d: %w", s, err)
 	}
 	res := &SliceResult{
-		Fingerprint: cfg.Manifest.Fingerprint,
-		Shards:      cfg.Manifest.Shards,
-		Slice:       s,
-		Owner:       cfg.Owner,
-		Epoch:       h.Epoch(),
-		Mapping:     out.Mapping,
-		Unresolved:  out.Unresolved,
-		Excluded:    out.Excluded,
+		Shards:     cfg.Manifest.Shards,
+		Slice:      s,
+		Owner:      cfg.Owner,
+		Epoch:      h.Epoch(),
+		Mapping:    out.Mapping,
+		Unresolved: out.Unresolved,
+		Excluded:   out.Excluded,
 	}
-	if err := WriteSliceResult(sr.Dir, res); err != nil {
+	if err := WriteSliceResult(sr.Dir, cfg.Manifest.fingerprint, res); err != nil {
 		return false, err
 	}
 	if err := h.Release(); err != nil {

@@ -223,5 +223,5 @@ func writeLease(dir string, l Lease) error {
 	if err != nil {
 		return err
 	}
-	return persist.WriteFileAtomic(filepath.Join(dir, leaseFile), data)
+	return persist.AtomicWrite(filepath.Join(dir, leaseFile), data)
 }

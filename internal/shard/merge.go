@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 
@@ -57,13 +54,12 @@ func (r *MergeReport) Degraded() bool { return len(r.MissingSlices) > 0 }
 // (persist.LockDir): the merge writes the root's epoch-0 persist
 // files, and a concurrent merge or non-sharded run would race it.
 func Merge(dir, fingerprint string) (*MergeReport, error) {
-	m, err := LoadManifest(dir)
+	m, err := readManifest(dir, fingerprint)
 	if err != nil {
 		return nil, err
 	}
-	if m.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("shard: campaign %s was run under fingerprint %q, current configuration is %q",
-			dir, m.Fingerprint, fingerprint)
+	if m == nil {
+		return nil, fmt.Errorf("shard: %s is not a campaign directory (no %s)", dir, manifestFile)
 	}
 
 	rep := &MergeReport{}
@@ -154,29 +150,6 @@ func Merge(dir, fingerprint string) (*MergeReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// LoadManifest reads and validates the campaign manifest.
-func LoadManifest(dir string) (*Manifest, error) {
-	path := filepath.Join(dir, manifestFile)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("shard: %s is not a campaign directory (no %s)", dir, manifestFile)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: corrupt manifest %s: %w", path, err)
-	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("shard: manifest %s has version %d, want %d", path, m.Version, manifestVersion)
-	}
-	if m.Shards != len(m.Slices) {
-		return nil, fmt.Errorf("shard: manifest %s declares %d shard(s) but %d slice(s)", path, m.Shards, len(m.Slices))
-	}
-	return &m, nil
 }
 
 // appendUnique appends k to list only if absent (the lists stay small).

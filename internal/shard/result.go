@@ -1,23 +1,19 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"zenport/internal/persist"
 	"zenport/internal/portmodel"
 )
 
-// resultFile is the completion marker of a slice: its presence (with a
-// matching fingerprint) means the slice was fully characterized and
-// its outcome is final. It is written atomically as the owner's last
-// act, so other shards and the merge treat existence as completion.
+// resultFile is the completion marker of a slice: its presence (a
+// sealed document under the campaign fingerprint) means the slice was
+// fully characterized and its outcome is final. It is written
+// atomically as the owner's last act, so other shards and the merge
+// treat existence as completion.
 const resultFile = "result.json"
-
-// resultVersion guards the SliceResult wire format.
-const resultVersion = 1
 
 // SliceResult is one slice's published outcome. Mapping is the full
 // mapping from the executing shard's perspective: the global base
@@ -25,10 +21,8 @@ const resultVersion = 1
 // by determinism) plus the slice's characterized schemes. The merge
 // unions these, checking that overlapping keys agree.
 type SliceResult struct {
-	Version     int    `json:"version"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      int    `json:"shards"`
-	Slice       int    `json:"slice"`
+	Shards int `json:"shards"`
+	Slice  int `json:"slice"`
 	// Owner and Epoch record which lease holder completed the slice —
 	// diagnostic only; the measurement content is owner-independent.
 	Owner string `json:"owner"`
@@ -47,45 +41,28 @@ type SliceResult struct {
 }
 
 // WriteSliceResult atomically publishes a slice's outcome into its
-// directory.
-func WriteSliceResult(dir string, r *SliceResult) error {
-	r.Version = resultVersion
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return persist.WriteFileAtomic(filepath.Join(dir, resultFile), data)
+// directory, sealed under the campaign fingerprint.
+func WriteSliceResult(dir, fingerprint string, r *SliceResult) error {
+	return persist.WriteDocument(filepath.Join(dir, resultFile), fingerprint, r)
 }
 
 // ReadSliceResult loads a slice's published outcome. A missing file
 // returns (nil, nil) — the slice is simply not done. A present file
-// that fails validation (version, fingerprint, slice index, mapping)
-// is a hard error, never silently ignored: it means the campaign
+// that fails validation (damage, fingerprint, slice index, mapping) is
+// a hard error, never silently ignored: it means the campaign
 // directory mixes configurations, and treating that as "not done"
 // would re-execute — and then merge — conflicting state.
 func ReadSliceResult(dir, fingerprint string, slice int) (*SliceResult, error) {
-	data, err := os.ReadFile(filepath.Join(dir, resultFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	var r SliceResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("shard: corrupt result in %s: %w", dir, err)
-	}
-	if r.Version != resultVersion {
-		return nil, fmt.Errorf("shard: result in %s has version %d, want %d", dir, r.Version, resultVersion)
-	}
-	if r.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("shard: result in %s was produced under fingerprint %q, current configuration is %q",
-			dir, r.Fingerprint, fingerprint)
-	}
-	if r.Slice != slice {
+	ok, err := persist.ReadDocument(filepath.Join(dir, resultFile), fingerprint, &r)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("shard: result in %s: %w", dir, err)
+	case !ok:
+		return nil, nil
+	case r.Slice != slice:
 		return nil, fmt.Errorf("shard: result in %s claims slice %d, want %d", dir, r.Slice, slice)
-	}
-	if r.Mapping == nil {
+	case r.Mapping == nil:
 		return nil, fmt.Errorf("shard: result in %s has no mapping", dir)
 	}
 	return &r, nil
