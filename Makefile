@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke fuzz-smoke clean
+.PHONY: build test vet race perfbench-check soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -69,10 +69,17 @@ solver-soak:
 shard-soak:
 	$(GO) test -race -timeout 20m -run 'TestShardCampaign|TestShardMerge' -v ./internal/shard/
 
+# perfbench-check vets and short-tests the benchmark harness.
+# perfbench is a nested module, so ./... above never compiles it; a
+# break in the zenport API it imports would otherwise surface only
+# when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# the full test suite, and pass the race detector on the concurrent
-# packages.
-verify: vet build test race
+# the full test suite, pass the race detector on the concurrent
+# packages, and keep the benchmark harness compiling and passing.
+verify: vet build test race perfbench-check
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -47,7 +47,6 @@ func run() error {
 	cacheDir := flag.String("cache-dir", "", "crash-safe measurement cache directory (empty = no persistence)")
 	chaosOn := flag.Bool("chaos", false, "inject deterministic faults (transients, hangs, outliers, stuck counters)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
-	qualitySpread := flag.Float64("quality-spread", 0, "adaptive repetition quality target, robust relative spread (0 = default 0.05)")
 	predict := flag.Bool("predict", false, "also print the ground-truth port-model prediction (compiled evaluator)")
 	flag.Parse()
 
@@ -98,7 +97,6 @@ func run() error {
 	}
 	h := zenport.NewHarness(proc)
 	h.Workers = *parallel
-	h.QualitySpread = *qualitySpread
 	if *cacheDir != "" {
 		// Exclusive lock: a second process on the same cache directory
 		// fails fast instead of interleaving journal writes.
@@ -111,7 +109,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("opening cache: %w", err)
 		}
-		store.Log = log.Printf
+		store.SetLog(log.Printf)
 		defer store.Close()
 		if err := store.Attach(h.Engine); err != nil {
 			return fmt.Errorf("attaching cache: %w", err)

@@ -93,7 +93,7 @@ func run() error {
 			return fmt.Errorf("opening cache: %w", err)
 		}
 		if !*quiet {
-			store.Log = func(f string, a ...any) { log.Printf(f, a...) }
+			store.SetLog(log.Printf)
 		}
 		defer store.Close()
 		if err := store.Attach(h.Engine); err != nil {

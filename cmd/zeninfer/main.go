@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	zeninfer [-seed N] [-noise F] [-parallel N] [-timeout D] [-max-schemes N] [-cache-dir DIR] [-resume] [-chaos] [-chaos-seed N] [-quality-spread F] [-solver-budget N] [-max-slack F] [-shards N -shard-id I] [-merge] [-out mapping.json] [-witnesses]
+//	zeninfer [-seed N] [-noise F] [-parallel N] [-timeout D] [-max-schemes N] [-cache-dir DIR] [-resume] [-chaos] [-chaos-seed N] [-solver-budget N] [-max-slack F] [-shards N -shard-id I] [-merge] [-out mapping.json] [-witnesses]
 //
 // Measurements run through the batch engine; -parallel sets the
 // worker-pool size (results are byte-identical for every value) and
@@ -24,8 +24,6 @@
 // stuck counters); the run ends with an injection ledger and a
 // degradation report listing the measurements that stayed
 // low-confidence — no fault class aborts the inference.
-// -quality-spread tunes the adaptive repetition target (default 0.05
-// robust relative spread).
 //
 // -solver-budget bounds every CDCL solver query to that many
 // conflicts; exhausted queries degrade the run to a partial mapping
@@ -85,7 +83,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume an interrupted run from its checkpoints (requires -cache-dir)")
 	chaosOn := flag.Bool("chaos", false, "inject deterministic faults (transients, hangs, outliers, stuck counters)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
-	qualitySpread := flag.Float64("quality-spread", 0, "adaptive repetition quality target, robust relative spread (0 = default 0.05)")
 	solverBudget := flag.Uint64("solver-budget", 0, "max CDCL conflicts per solver query; exhausted queries degrade to a partial mapping (0 = unlimited)")
 	maxSlack := flag.Float64("max-slack", 0, "max per-measurement error-bound relaxation for UNSAT-core recovery (0 = disabled)")
 	shards := flag.Int("shards", 0, "run as one shard of an N-shard campaign rooted at -cache-dir (requires -shard-id)")
@@ -137,7 +134,6 @@ func run() error {
 		}
 		h := zenport.NewHarness(proc)
 		h.Workers = *parallel
-		h.QualitySpread = *qualitySpread
 		return h, cp, zenport.RunFingerprint(fper, h.Engine)
 	}
 	s.baseOpts = func() zenport.Options {
@@ -191,7 +187,7 @@ func run() error {
 			return fmt.Errorf("opening cache: %w", err)
 		}
 		if !*quiet {
-			store.Log = func(format string, args ...any) { log.Printf(format, args...) }
+			store.SetLog(log.Printf)
 		}
 		defer store.Close()
 		if err := store.Attach(h.Engine); err != nil {
@@ -304,7 +300,7 @@ func runSlice(ctx context.Context, s *session, fp string, sr *zenport.ShardRun) 
 	}
 	defer store.Close()
 	if !s.quiet {
-		store.Log = func(format string, args ...any) { log.Printf(format, args...) }
+		store.SetLog(log.Printf)
 	}
 	if err := store.Attach(h.Engine); err != nil {
 		return nil, fmt.Errorf("slice %d cache: %w", sr.Index, err)

@@ -71,7 +71,7 @@ type Regime struct {
 	// HangDuration is how long an injected hang blocks.
 	HangDuration time.Duration
 	// MaxPreFaults caps consecutive injected transient errors per
-	// round (≤0 means 2). It must not exceed the engine's MaxRetries,
+	// round (≤0 means 2). It must not exceed the engine's 2 retries,
 	// or injected transients can exhaust the retry budget and fail
 	// measurements outright — deterministic degradation requires the
 	// documented regimes to stay within the retry budget.

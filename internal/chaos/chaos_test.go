@@ -222,7 +222,7 @@ func TestRestoreExecCountReplay(t *testing.T) {
 	}
 }
 
-// TestEngineRetriesAbsorbPreFaults: with MaxPreFaults ≤ MaxRetries,
+// TestEngineRetriesAbsorbPreFaults: with MaxPreFaults ≤ the engine's 2 retries,
 // even a 100% transient rate cannot fail a measurement — the worst
 // case the documented regimes may produce is retries, never an
 // aborted pipeline.

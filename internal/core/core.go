@@ -96,15 +96,6 @@ type BlockClass struct {
 	Witnesses []Witness
 }
 
-// ImproperBlocker is a manually added multi-µop blocking instruction
-// (§4.3: stores have no single-µop blocking instruction).
-type ImproperBlocker struct {
-	// Key is the scheme key.
-	Key string
-	// The improper blocker is constrained to two µops, one of which
-	// equals a proper blocker's µop.
-}
-
 // Report is the complete pipeline output.
 type Report struct {
 	// InitialSchemes is the number of schemes before any filtering.
@@ -201,34 +192,59 @@ func (r *Report) Supported() int {
 	return len(r.Final.Usage)
 }
 
+// The paper's pipeline parameters, fixed for every run. The port
+// count is not among them: it is the processor's (NumPorts).
+const (
+	// maxExpDistinct and maxExpTotal bound the distinguishing-
+	// experiment search (§3.3.4's stratification; the paper's
+	// experiments used up to five instructions).
+	maxExpDistinct = 3
+	maxExpTotal    = 5
+	// maxCandidates bounds the consistent mappings examined per
+	// findOtherMapping call.
+	maxCandidates = 40
+	// maxCEGARRounds bounds Algorithm 2 iterations.
+	maxCEGARRounds = 120
+	// characterizeRuns is the number of independent stage-4 runs for
+	// majority voting (paper: 3).
+	characterizeRuns = 3
+	// spreadThreshold flags a measurement as unstable when the
+	// relative spread across repetitions exceeds it.
+	spreadThreshold = 0.10
+)
+
+// preferredReps lists scheme keys preferred as class representatives
+// (the paper selected Table 1's representatives manually "for
+// clarity").
+var preferredReps = []string{
+	"add GPR[32], GPR[32]",
+	"vpor XMM, XMM, XMM",
+	"vpaddd XMM, XMM, XMM",
+	"vminps XMM, XMM, XMM",
+	"vbroadcastss XMM, XMM",
+	"vpaddsw XMM, XMM, XMM",
+	"vaddps XMM, XMM, XMM",
+	"mov GPR[32], MEM[32]",
+	"vpslld XMM, XMM, XMM",
+	"vpmuldq XMM, XMM, XMM",
+	"imul GPR[32], GPR[32]",
+	"vroundps XMM, XMM, IMM[8]",
+	"vmovd XMM, GPR[32]",
+}
+
+// improperBlockers are the manually added multi-µop blocking
+// instructions of §4.3 (stores have no single-µop blocking
+// instruction). Each is constrained to two µops, one of which equals a
+// proper blocker's µop. Stage 4 blocks the store port with the first.
+var improperBlockers = []string{
+	"mov MEM[32], GPR[32]",
+	"vmovapd MEM[128], XMM",
+}
+
 // Options tunes the pipeline.
 type Options struct {
 	// Epsilon is the CPI equality tolerance (paper: 0.02).
 	Epsilon float64
-	// NumPorts is the assumed port count (paper: 10, from the SOG).
-	NumPorts int
-	// MaxExpDistinct/MaxExpTotal bound the distinguishing-experiment
-	// search (§3.3.4's stratification; the paper's experiments used
-	// up to five instructions).
-	MaxExpDistinct int
-	MaxExpTotal    int
-	// MaxCandidates bounds the consistent mappings examined per
-	// findOtherMapping call.
-	MaxCandidates int
-	// MaxCEGARRounds bounds Algorithm 2 iterations.
-	MaxCEGARRounds int
-	// CharacterizeRuns is the number of independent stage-4 runs
-	// for majority voting (paper: 3).
-	CharacterizeRuns int
-	// PreferredReps lists scheme keys preferred as class
-	// representatives (the paper selected Table 1's representatives
-	// manually "for clarity").
-	PreferredReps []string
-	// ImproperBlockers are added before the CEGAR stage (§4.3).
-	ImproperBlockers []ImproperBlocker
-	// SpreadThreshold flags a measurement as unstable when the
-	// relative spread across repetitions exceeds it.
-	SpreadThreshold float64
 	// SolverBudget is the per-query CDCL work limit: every SMT query
 	// of stage 3 (findMapping, findOtherMapping, core extraction) runs
 	// under a fresh copy of this template, so one pathological query
@@ -272,35 +288,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
-	return Options{
-		Epsilon:          0.02,
-		NumPorts:         10,
-		MaxExpDistinct:   3,
-		MaxExpTotal:      5,
-		MaxCandidates:    40,
-		MaxCEGARRounds:   120,
-		CharacterizeRuns: 3,
-		SpreadThreshold:  0.10,
-		PreferredReps: []string{
-			"add GPR[32], GPR[32]",
-			"vpor XMM, XMM, XMM",
-			"vpaddd XMM, XMM, XMM",
-			"vminps XMM, XMM, XMM",
-			"vbroadcastss XMM, XMM",
-			"vpaddsw XMM, XMM, XMM",
-			"vaddps XMM, XMM, XMM",
-			"mov GPR[32], MEM[32]",
-			"vpslld XMM, XMM, XMM",
-			"vpmuldq XMM, XMM, XMM",
-			"imul GPR[32], GPR[32]",
-			"vroundps XMM, XMM, IMM[8]",
-			"vmovd XMM, GPR[32]",
-		},
-		ImproperBlockers: []ImproperBlocker{
-			{Key: "mov MEM[32], GPR[32]"},
-			{Key: "vmovapd MEM[128], XMM"},
-		},
-	}
+	return Options{Epsilon: 0.02}
 }
 
 // Pipeline runs the inference.
@@ -316,13 +304,6 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline over a harness and scheme list.
 func NewPipeline(h *measure.Harness, schemes []isa.Scheme, opts Options) *Pipeline {
-	if opts.Epsilon <= 0 {
-		opts.Epsilon = 0.02
-	}
-	if opts.NumPorts <= 0 {
-		opts.NumPorts = h.P.NumPorts()
-	}
-	h.Epsilon = opts.Epsilon
 	return &Pipeline{H: h, Schemes: schemes, Opts: opts}
 }
 
@@ -422,7 +403,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 
 // retryGenBase namespaces the measurement-cache generations of the
 // unresolved-scheme retry passes away from the regular stage-4 runs
-// (0..CharacterizeRuns-1), so the retry gets fresh measurements while
+// (0..characterizeRuns-1), so the retry gets fresh measurements while
 // still being deterministic — and cache-warm — across repeated resumes.
 const retryGenBase = 1000
 
@@ -449,19 +430,15 @@ func (p *Pipeline) retryUnresolved(ctx context.Context, rep *Report) error {
 	if len(todo) == 0 {
 		return nil
 	}
-	runs := p.Opts.CharacterizeRuns
-	if runs < 1 {
-		runs = 1
-	}
-	p.logf("resume: retrying %d unresolved scheme(s) with %d fresh characterization run(s)", len(todo), runs)
+	p.logf("resume: retrying %d unresolved scheme(s) with %d fresh characterization run(s)", len(todo), characterizeRuns)
 	results := make(map[string][]runResult, len(todo))
-	for r := 0; r < runs; r++ {
+	for r := 0; r < characterizeRuns; r++ {
 		if err := p.characterizeRun(ctx, rep, todo, blockers, results, uint64(retryGenBase+r), r == 0); err != nil {
 			return err
 		}
 	}
 	failed := map[string]bool{}
-	for _, key := range p.voteCharacterization(rep, todo, results, runs) {
+	for _, key := range p.voteCharacterization(rep, todo, results) {
 		failed[key] = true
 	}
 	retried := map[string]bool{}

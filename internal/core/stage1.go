@@ -82,7 +82,7 @@ func (p *Pipeline) stage1(ctx context.Context, rep *Report) error {
 
 		// Instability alone (mov of 64-bit immediates, §4.1.2): the
 		// run-to-run spread exposes the bimodal behaviour.
-		if r.Spread > p.Opts.SpreadThreshold {
+		if r.Spread > spreadThreshold {
 			rep.Excluded[key] = ExclUnstableAlone
 			continue
 		}
@@ -179,8 +179,8 @@ func (p *Pipeline) candidateKeys(rep *Report) []string {
 		}
 	}
 	sort.Strings(keys)
-	rank := make(map[string]int, len(p.Opts.PreferredReps))
-	for i, k := range p.Opts.PreferredReps {
+	rank := make(map[string]int, len(preferredReps))
+	for i, k := range preferredReps {
 		rank[k] = i + 1
 	}
 	sort.SliceStable(keys, func(a, b int) bool {

@@ -46,7 +46,7 @@ func (p *Pipeline) stage2(ctx context.Context, rep *Report) error {
 			repInfo := rep.Info[cls.Rep]
 			pair := pairs[ci]
 			r := rowRes[ci]
-			if r.Spread > p.Opts.SpreadThreshold {
+			if r.Spread > spreadThreshold {
 				// Unstable when paired: cmov, AES, vcvt*, double FP
 				// mul (§4.2).
 				rep.Excluded[key] = ExclUnstablePaired

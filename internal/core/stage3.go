@@ -53,7 +53,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 	// lastGood tracks the most recent consistent mapping, the
 	// degradation target if the solver budget later runs out.
 	var lastGood *portmodel.Mapping
-	for round := 0; round < p.Opts.MaxCEGARRounds; round++ {
+	for round := 0; round < maxCEGARRounds; round++ {
 		m1, relaxed, srep, err := inst.FindMappingSupervised(ctx, exps, p.superviseOpts(ctx))
 		exps = relaxed
 		p.foldSupervision(rep, srep)
@@ -81,7 +81,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 			return err
 		}
 		lastGood = m1
-		other, err := inst.FindOtherMappingBudget(ctx, exps, m1, p.Opts.MaxExpDistinct, p.Opts.MaxExpTotal, p.Opts.MaxCandidates, p.queryBudget())
+		other, err := inst.FindOtherMappingBudget(ctx, exps, m1, maxExpDistinct, maxExpTotal, maxCandidates, p.queryBudget())
 		if errors.Is(err, sat.ErrBudgetExhausted) {
 			// The current mapping is consistent, just not proven
 			// unique within bounds; accept it and say so.
@@ -122,13 +122,13 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 	_ = exps
 	p.foldSupervision(rep, srep)
 	if errors.Is(err, sat.ErrBudgetExhausted) {
-		return p.degradeStage3(rep, inst, lastGood, p.Opts.MaxCEGARRounds)
+		return p.degradeStage3(rep, inst, lastGood, maxCEGARRounds)
 	}
 	if err != nil {
 		return err
 	}
 	p.finishStage3(rep, inst, m1)
-	rep.CEGARRounds = p.Opts.MaxCEGARRounds
+	rep.CEGARRounds = maxCEGARRounds
 	return nil
 }
 
@@ -219,7 +219,7 @@ func (p *Pipeline) degradeStage3(rep *Report, inst *smt.Instance, lastGood *port
 		rep.Unresolved = appendUnique(rep.Unresolved, k)
 	}
 	sort.Strings(rep.Unresolved)
-	p.finishStage3(rep, inst, portmodel.NewMapping(p.Opts.NumPorts))
+	p.finishStage3(rep, inst, portmodel.NewMapping(p.H.P.NumPorts()))
 	return nil
 }
 
@@ -229,7 +229,7 @@ func (p *Pipeline) degradeStage3(rep *Report, inst *smt.Instance, lastGood *port
 // resume to validate checkpointed lemmas against the instance shape.
 func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 	inst := &smt.Instance{
-		NumPorts: p.Opts.NumPorts,
+		NumPorts: p.H.P.NumPorts(),
 		Rmax:     p.H.P.Rmax(),
 		Epsilon:  p.Opts.Epsilon,
 	}
@@ -239,13 +239,13 @@ func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 	}
 	// Improper blockers: two µops, one tied to a proper blocker's
 	// port set.
-	for _, ib := range p.Opts.ImproperBlockers {
-		if _, ok := rep.Info[ib.Key]; !ok {
-			return nil, fmt.Errorf("improper blocker %q was not measured in stage 1", ib.Key)
+	for _, key := range improperBlockers {
+		if _, ok := rep.Info[key]; !ok {
+			return nil, fmt.Errorf("improper blocker %q was not measured in stage 1", key)
 		}
 		inst.Uops = append(inst.Uops,
-			smt.UopSpec{Key: ib.Key, NumPorts: 0},
-			smt.UopSpec{Key: ib.Key, TiedToBlocker: true},
+			smt.UopSpec{Key: key, NumPorts: 0},
+			smt.UopSpec{Key: key, TiedToBlocker: true},
 		)
 	}
 	return inst, nil
@@ -294,7 +294,7 @@ func (p *Pipeline) isolateCulprit(ctx context.Context, inst *smt.Instance, exps 
 	for _, k := range keys {
 		excl := map[string]bool{k: true}
 		sub := inst.Without(excl)
-		if _, err := sub.FindMappingContext(ctx, smt.FilterExps(exps, excl)); err == nil {
+		if _, err := sub.FindMappingBudget(ctx, smt.FilterExps(exps, excl), nil); err == nil {
 			fixes = append(fixes, k)
 		} else if !errors.Is(err, smt.ErrNoMapping) {
 			return "", err
@@ -320,7 +320,7 @@ func (p *Pipeline) isolateCulprit(ctx context.Context, inst *smt.Instance, exps 
 			sub[k] = true
 		}
 		si := subInstance(inst, sub)
-		if _, err := si.FindMappingContext(ctx, expsOver(exps, sub)); errors.Is(err, smt.ErrNoMapping) {
+		if _, err := si.FindMappingBudget(ctx, expsOver(exps, sub), nil); errors.Is(err, smt.ErrNoMapping) {
 			for k := range sub {
 				suspicion[k]++
 			}
@@ -402,7 +402,7 @@ func (p *Pipeline) probeDiagnose(ctx context.Context, inst *smt.Instance, exps [
 			}
 		}
 		subExps = append(subExps, smt.MeasuredExp{Exp: probes[i], TInv: probeT[i]})
-		if _, err := sub.FindMappingContext(ctx, subExps); errors.Is(err, smt.ErrNoMapping) {
+		if _, err := sub.FindMappingBudget(ctx, subExps, nil); errors.Is(err, smt.ErrNoMapping) {
 			scores[s]++
 		} else if err != nil {
 			return "", err

@@ -30,7 +30,7 @@ type runResult struct {
 //
 // Blocking instructions are applied in ascending port-set size and
 // previously found µops on proper subsets are subtracted (Algorithm
-// 1). The stage runs CharacterizeRuns times with fresh measurements
+// 1). The stage runs characterizeRuns times with fresh measurements
 // and accepts a result only when a majority of runs agree (§4.4).
 func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 	blockers := p.stage4Blockers(rep)
@@ -61,13 +61,9 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 		return nil
 	}
 
-	runs := p.Opts.CharacterizeRuns
-	if runs < 1 {
-		runs = 1
-	}
 	results := make(map[string][]runResult, len(todo))
 
-	for r := 0; r < runs; r++ {
+	for r := 0; r < characterizeRuns; r++ {
 		name := fmt.Sprintf("stage4-run%d", r)
 		if p.Opts.Resume {
 			restored, err := p.restoreStage4Run(name, r, todo, results, rep)
@@ -92,7 +88,7 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 		}
 	}
 
-	for _, key := range p.voteCharacterization(rep, todo, results, runs) {
+	for _, key := range p.voteCharacterization(rep, todo, results) {
 		// A scheme whose runs never reached a majority is excluded
 		// from the mapping (§4.4) *and* flagged Unresolved, so a
 		// resumed run retries it with fresh measurements instead of
@@ -171,7 +167,7 @@ func (p *Pipeline) characterizeRun(ctx context.Context, rep *Report, todo []stri
 // results and commits the winners into rep.Characterized (plus the
 // spurious-µop flag). It returns the keys whose runs never produced a
 // majority; the caller decides how those degrade.
-func (p *Pipeline) voteCharacterization(rep *Report, todo []string, results map[string][]runResult, runs int) []string {
+func (p *Pipeline) voteCharacterization(rep *Report, todo []string, results map[string][]runResult) []string {
 	var failed []string
 	for _, key := range todo {
 		rs := results[key]
@@ -190,7 +186,7 @@ func (p *Pipeline) voteCharacterization(rep *Report, todo []string, results map[
 				bestCount, bestIdx = n, i
 			}
 		}
-		if bestIdx == -1 || bestCount*2 <= runs {
+		if bestIdx == -1 || bestCount*2 <= characterizeRuns {
 			failed = append(failed, key)
 			continue
 		}
@@ -210,7 +206,7 @@ func (p *Pipeline) voteCharacterization(rep *Report, todo []string, results map[
 // characterized schemes, and the no-port schemes. Unresolved schemes
 // are simply absent — partial rather than wrong.
 func (p *Pipeline) assembleFinal(rep *Report) *portmodel.Mapping {
-	final := portmodel.NewMapping(p.Opts.NumPorts)
+	final := portmodel.NewMapping(p.H.P.NumPorts())
 	for key, u := range rep.BlockerMapping.Usage {
 		final.Set(key, u)
 	}
@@ -245,8 +241,8 @@ func (p *Pipeline) stage4Blockers(rep *Report) []blockerDesc {
 	// MEM[32], GPR[32] to block the store port 5"): its own port is
 	// the one of its non-tied µop, i.e. the port set not shared with
 	// a proper blocker.
-	if len(p.Opts.ImproperBlockers) > 0 && rep.BlockerMapping != nil {
-		key := p.Opts.ImproperBlockers[0].Key
+	if rep.BlockerMapping != nil {
+		key := improperBlockers[0]
 		if usage, ok := rep.BlockerMapping.Get(key); ok {
 			if own, ok := improperOwnPorts(rep, usage); ok {
 				out = append(out, blockerDesc{key: key, pu: own})

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"zenport/internal/engine"
 	"zenport/internal/portmodel"
@@ -149,47 +148,5 @@ func TestCancellationDuringEscalation(t *testing.T) {
 	}
 	if g.Metrics().Canceled == 0 {
 		t.Fatal("Canceled metric not incremented")
-	}
-}
-
-// TestBackoffCancelPrompt: a cancelled context must interrupt a retry
-// backoff sleep immediately, even with a pathological base delay.
-func TestBackoffCancelPrompt(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := engine.New(transientProc{onFail: func() { cancel() }})
-	g.BackoffBase = 10 * time.Second
-	g.BackoffMax = 10 * time.Second
-	start := time.Now()
-	_, err := g.Measure(ctx, portmodel.Exp("a"))
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("backoff ignored cancellation for %v", elapsed)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// transientProc fails every execution with a transient error.
-type transientProc struct{ onFail func() }
-
-func (p transientProc) Execute(kernel []string, iterations int) (engine.Counters, error) {
-	if p.onFail != nil {
-		p.onFail()
-	}
-	return engine.Counters{}, engine.Transient(errors.New("always failing"))
-}
-
-func (p transientProc) NumPorts() int { return 4 }
-func (p transientProc) Rmax() float64 { return 5 }
-
-// TestBackoffDisabled: a negative BackoffBase disables retry sleeps.
-func TestBackoffDisabled(t *testing.T) {
-	g := engine.New(transientProc{})
-	g.BackoffBase = -1
-	if _, err := g.Measure(context.Background(), portmodel.Exp("a")); err == nil {
-		t.Fatal("always-failing processor succeeded")
-	}
-	if w := g.Metrics().BackoffWait; w != 0 {
-		t.Fatalf("BackoffWait = %v with backoff disabled", w)
 	}
 }

@@ -24,6 +24,12 @@
 // (global seed, canonical kernel key, per-kernel repetition index),
 // so any interleaving of distinct kernels draws identical noise.
 //
+// The measurement method is the paper's and is fixed: the median of
+// Reps = 11 runs of 100 kernel iterations, escalated adaptively while
+// the samples spread wider than 5%, and up to 2 retries of a transient
+// failure after a short jittered backoff. Only the worker count and the
+// persist hook are settable, and neither enters Fingerprint.
+//
 // measure.Harness remains as a thin compatibility wrapper over this
 // package for call-at-a-time use.
 package engine
@@ -140,9 +146,9 @@ type Quality struct {
 }
 
 // TransientError marks an Execute failure as retryable: the engine
-// re-issues the kernel up to Engine.MaxRetries times before giving
-// up. Permanent errors (unknown schemes, bad iteration counts)
-// abort immediately.
+// re-issues the kernel up to maxRetries times before giving up.
+// Permanent errors (unknown schemes, bad iteration counts) abort
+// immediately.
 type TransientError struct{ Err error }
 
 // Error implements error.
@@ -258,31 +264,9 @@ type Metrics struct {
 type Engine struct {
 	// P is the processor under measurement.
 	P Processor
-	// Reps is the number of repeated runs; the median is reported.
-	// The paper uses 11.
-	Reps int
-	// Iterations is the number of kernel iterations per run.
-	Iterations int
-	// Epsilon is the CPI equality tolerance (paper: 0.02).
-	Epsilon float64
 	// Workers is the size of the batch worker pool (≤0 means
 	// GOMAXPROCS). Results are identical for every value.
 	Workers int
-	// MaxRetries bounds re-executions after transient errors.
-	MaxRetries int
-	// QualitySpread is the robust-spread (IQR/median) target of the
-	// adaptive repetition loop: collection escalates past Reps while
-	// the surviving samples spread wider than this (0 means the 0.05
-	// default). It changes measured results, so it is part of the
-	// fingerprint.
-	QualitySpread float64
-	// BackoffBase is the first retry delay after a transient error;
-	// subsequent attempts double it up to BackoffMax, with
-	// deterministic per-kernel jitter. 0 means 100µs; negative
-	// disables backoff. The sleep observes ctx.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff delay (0 means 10ms).
-	BackoffMax time.Duration
 	// Persist, if non-nil, receives every newly executed result and
 	// warms the cache across generation switches; see PersistHook.
 	// Set it before the first measurement (persist.Store.Attach does).
@@ -324,23 +308,37 @@ type Engine struct {
 	remeasured  atomic.Uint64
 }
 
-// maxRepsFactor caps the adaptive escalation at maxRepsFactor×Reps
-// samples. A measurement still missing the quality target at the cap
-// is quarantined — granted one extra batch of Reps samples — and then
-// flagged low-confidence rather than failed.
-const maxRepsFactor = 3
+// The paper's measurement method, fixed for every measurement.
+const (
+	// Reps is the number of runs per measurement batch; the median is
+	// reported (paper: 11).
+	Reps = 11
+	// iterations is the number of kernel iterations per run.
+	iterations = 100
+	// maxRetries bounds re-executions after a transient error.
+	maxRetries = 2
+	// qualitySpread is the robust-spread (IQR/median) target of the
+	// adaptive repetition loop: collection escalates past Reps while
+	// the surviving samples spread wider than this.
+	qualitySpread = 0.05
+	// maxRepsFactor caps the adaptive escalation at maxRepsFactor×Reps
+	// samples. A measurement still missing the quality target at the
+	// cap is quarantined — granted one extra batch of Reps samples —
+	// and then flagged low-confidence rather than failed.
+	maxRepsFactor = 3
+	// backoffBase is the first retry delay after a transient error;
+	// the second attempt doubles it. With maxRetries = 2 the delay
+	// never exceeds 2×backoffBase, so it needs no cap.
+	backoffBase = 100 * time.Microsecond
+)
 
-// New returns an engine with the paper's measurement parameters: 11
-// repetitions, 100 iterations per run, ε = 0.02 CPI, GOMAXPROCS
-// workers, up to 2 retries on transient errors, a 5% robust-spread
-// quality target with escalation capped at 3×Reps, and 100µs–10ms
-// retry backoff.
+// New returns an engine with GOMAXPROCS workers; every measurement
+// parameter is one of the constants above.
 func New(p Processor) *Engine {
 	g := &Engine{
-		P: p, Reps: 11, Iterations: 100, Epsilon: 0.02, MaxRetries: 2,
-		QualitySpread: 0.05,
-		cache:         make(map[string]Result),
-		lowConf:       make(map[string]Quality),
+		P:       p,
+		cache:   make(map[string]Result),
+		lowConf: make(map[string]Quality),
 	}
 	g.flight = NewFlight[Result](&g.mu)
 	return g
@@ -583,7 +581,7 @@ type sample struct {
 // execute runs the experiment adaptively: an initial batch of Reps
 // samples, MAD-based outlier rejection, then escalating repetitions
 // (up to maxRepsFactor×Reps, plus one quarantine batch) until the
-// robust spread of the surviving samples falls under QualitySpread.
+// robust spread of the surviving samples falls under qualitySpread.
 // Measurements that never get there are flagged low-confidence, not
 // failed. ctx is checked between repetitions.
 //
@@ -593,46 +591,32 @@ type sample struct {
 // therefore preserves the engine's worker-count invariance.
 func (g *Engine) execute(ctx context.Context, e portmodel.Experiment) (Result, error) {
 	kernel := KernelOf(e)
-	reps := g.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	iters := g.Iterations
-	if iters < 1 {
-		iters = 100
-	}
-	maxReps := maxRepsFactor * reps
-	qspread := g.QualitySpread
-	if qspread == 0 {
-		qspread = 0.05
-	}
-
 	var ss []sample
 	collect := func(k int) error {
 		for i := 0; i < k; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			c, err := g.executeOnce(ctx, kernel, iters)
+			c, err := g.executeOnce(ctx, kernel)
 			if err != nil {
 				return err
 			}
-			s := sample{cyc: c.Cycles / float64(iters), ops: float64(c.Ops) / float64(iters)}
+			s := sample{cyc: c.Cycles / iterations, ops: float64(c.Ops) / iterations}
 			if c.PortOps != nil {
-				s.port = scaled(c.PortOps, iters)
+				s.port = scaled(c.PortOps)
 			}
 			if c.FPPortOps != nil {
-				s.fp = scaled(c.FPPortOps, iters)
+				s.fp = scaled(c.FPPortOps)
 			}
 			ss = append(ss, s)
 		}
 		return nil
 	}
-	if err := collect(reps); err != nil {
+	if err := collect(Reps); err != nil {
 		return Result{}, err
 	}
 
-	budget := maxReps
+	budget := maxRepsFactor * Reps
 	var keep []bool
 	var q Quality
 	for {
@@ -644,11 +628,11 @@ func (g *Engine) execute(ctx context.Context, e portmodel.Experiment) (Result, e
 		keep, rej = stats.RejectOutliers(cyc, rejectKMAD, rejectMinRel)
 		kept := masked(cyc, keep)
 		q = Quality{Kept: len(kept), Rejected: rej, Spread: stats.RobustSpread(kept), Quarantined: q.Quarantined}
-		if q.Spread <= qspread {
+		if q.Spread <= qualitySpread {
 			break
 		}
 		if len(ss) < budget {
-			step := reps
+			step := Reps
 			if len(ss)+step > budget {
 				step = budget - len(ss)
 			}
@@ -663,7 +647,7 @@ func (g *Engine) execute(ctx context.Context, e portmodel.Experiment) (Result, e
 			// with what we have) before giving up on the target.
 			q.Quarantined = true
 			g.quarantined.Add(1)
-			budget += reps
+			budget += Reps
 			continue
 		}
 		q.LowConfidence = true
@@ -710,10 +694,10 @@ func (g *Engine) execute(ctx context.Context, e portmodel.Experiment) (Result, e
 }
 
 // scaled divides a counter vector by the iteration count.
-func scaled(v []float64, iters int) []float64 {
+func scaled(v []float64) []float64 {
 	out := make([]float64, len(v))
 	for k := range v {
-		out[k] = v[k] / float64(iters)
+		out[k] = v[k] / iterations
 	}
 	return out
 }
@@ -753,10 +737,10 @@ func (g *Engine) recordSpread(s float64) {
 // errors, sleeping an exponentially growing, deterministically
 // jittered delay between attempts. The retry loop and the sleep both
 // consult ctx: a canceled batch must not keep re-executing failing
-// kernels up to MaxRetries, nor finish a backoff sleep. Processors
+// kernels up to maxRetries, nor finish a backoff sleep. Processors
 // implementing ContextProcessor are additionally interruptible inside
 // the execution itself.
-func (g *Engine) executeOnce(ctx context.Context, kernel []string, iters int) (Counters, error) {
+func (g *Engine) executeOnce(ctx context.Context, kernel []string) (Counters, error) {
 	cp, hasCtx := g.P.(ContextProcessor)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -767,15 +751,15 @@ func (g *Engine) executeOnce(ctx context.Context, kernel []string, iters int) (C
 		var c Counters
 		var err error
 		if hasCtx {
-			c, err = cp.ExecuteContext(ctx, kernel, iters)
+			c, err = cp.ExecuteContext(ctx, kernel, iterations)
 		} else {
-			c, err = g.P.Execute(kernel, iters)
+			c, err = g.P.Execute(kernel, iterations)
 		}
 		if err == nil {
 			return c, nil
 		}
 		lastErr = err
-		if !IsTransient(err) || attempt >= g.MaxRetries {
+		if !IsTransient(err) || attempt >= maxRetries {
 			return Counters{}, lastErr
 		}
 		g.retries.Add(1)
@@ -785,43 +769,33 @@ func (g *Engine) executeOnce(ctx context.Context, kernel []string, iters int) (C
 	}
 }
 
-// backoff sleeps before retry number attempt+1: BackoffBase doubled
-// per attempt, capped at BackoffMax, jittered into [d/2, d] by a
-// deterministic hash of (kernel, attempt) — reruns back off
-// identically, while concurrently failing kernels decorrelate. The
-// sleep observes ctx and its cost lands in Metrics.BackoffWait.
+// backoff sleeps before retry number attempt+1: backoffBase doubled
+// per attempt, jittered into [d/2, d] by a deterministic hash of
+// (kernel, attempt) — reruns back off identically, while concurrently
+// failing kernels decorrelate.
 func (g *Engine) backoff(ctx context.Context, kernel []string, attempt int) error {
-	base := g.BackoffBase
-	if base < 0 {
-		return nil
-	}
-	if base == 0 {
-		base = 100 * time.Microsecond
-	}
-	maxd := g.BackoffMax
-	if maxd <= 0 {
-		maxd = 10 * time.Millisecond
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > maxd {
-		d = maxd
-	}
+	d := backoffBase << uint(attempt)
 	h := fnv.New64a()
 	for _, k := range kernel {
 		_, _ = h.Write([]byte(k))
 		_, _ = h.Write([]byte{0})
 	}
 	z := splitmix64(h.Sum64() ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-	wait := d/2 + time.Duration(z%uint64(d/2+1))
+	return g.sleep(ctx, d/2+time.Duration(z%uint64(d/2+1)))
+}
+
+// sleep waits for d unless ctx ends first, and adds the time it waited
+// to Metrics.BackoffWait.
+func (g *Engine) sleep(ctx context.Context, d time.Duration) error {
 	start := time.Now()
-	t := time.NewTimer(wait)
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		g.backoffNano.Add(int64(time.Since(start)))
 		return ctx.Err()
 	case <-t.C:
-		g.backoffNano.Add(int64(wait))
+		g.backoffNano.Add(int64(d))
 		return nil
 	}
 }
@@ -926,15 +900,14 @@ func (g *Engine) ClearCache() {
 // Fingerprint identifies the engine's measurement parameters for the
 // persistence layer. Workers is deliberately excluded: results are
 // byte-identical at any worker count, so a cache written at
-// -parallel 4 is valid at -parallel 16. The adaptive-quality knobs
-// are included because they change which samples feed the medians.
+// -parallel 4 is valid at -parallel 16. The fixed measurement
+// constants are spelled out so that a build changing one of them
+// invalidates the caches of earlier builds. eps=0.02 is the paper's
+// CPI tolerance; measurements do not depend on it, but caches written
+// by earlier builds carry it, so it stays in the bytes.
 func (g *Engine) Fingerprint() string {
-	qspread := g.QualitySpread
-	if qspread == 0 {
-		qspread = 0.05
-	}
-	return fmt.Sprintf("engine:v2 reps=%d iters=%d eps=%g qspread=%g maxreps=%d",
-		g.Reps, g.Iterations, g.Epsilon, qspread, maxRepsFactor*g.Reps)
+	return fmt.Sprintf("engine:v2 reps=%d iters=%d eps=0.02 qspread=%g maxreps=%d",
+		Reps, iterations, qualitySpread, maxRepsFactor*Reps)
 }
 
 // CacheGeneration returns the current cache generation.

@@ -164,7 +164,7 @@ func TestTransientRetryBounded(t *testing.T) {
 	g := engine.New(p)
 	r, err := g.Measure(context.Background(), portmodel.Exp("a"))
 	if err != nil {
-		t.Fatalf("transient failures within MaxRetries should succeed: %v", err)
+		t.Fatalf("transient failures within the engine's 2 retries should succeed: %v", err)
 	}
 	if r.Runs != 11 {
 		t.Fatalf("Runs = %d", r.Runs)
@@ -176,7 +176,6 @@ func TestTransientRetryBounded(t *testing.T) {
 	p2 := newSeqProc()
 	p2.failFirst, p2.transient = 3, true
 	g2 := engine.New(p2)
-	g2.MaxRetries = 2
 	if _, err := g2.Measure(context.Background(), portmodel.Exp("a")); err == nil {
 		t.Fatal("exhausted retries should fail")
 	}

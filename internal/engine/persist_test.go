@@ -12,40 +12,35 @@ import (
 )
 
 // cancelingProc fails transiently forever and cancels the context
-// after a few calls — the shape of a measurement backend dying while
-// the caller gives up.
+// during its first call — the shape of a measurement backend dying
+// while the caller gives up.
 type cancelingProc struct {
 	seqProc
-	cancel      context.CancelFunc
-	cancelAfter int64
+	cancel context.CancelFunc
 }
 
 func (p *cancelingProc) Execute(kernel []string, iterations int) (engine.Counters, error) {
-	if p.calls.Add(1) >= p.cancelAfter {
-		p.cancel()
-	}
+	p.calls.Add(1)
+	p.cancel()
 	return engine.Counters{}, engine.Transient(fmt.Errorf("flaky backend"))
 }
 
 // TestRetryStopsOnCancellation: a cancelled context must end the
-// transient-retry loop promptly with the context error, not burn
-// through the full retry budget first.
+// transient-retry loop at once with the context error, not burn
+// through the retry budget first. A loop that ignored ctx would make
+// three calls and report the transient error.
 func TestRetryStopsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := &cancelingProc{cancel: cancel, cancelAfter: 3}
+	p := &cancelingProc{cancel: cancel}
 	g := engine.New(p)
-	g.MaxRetries = 1 << 30 // would loop ~forever if cancellation were ignored
 
 	_, err := g.Measure(ctx, portmodel.Exp("a"))
-	if err == nil {
-		t.Fatal("cancelled measurement returned no error")
-	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
-	if got := p.calls.Load(); got > 4 {
-		t.Fatalf("retry loop executed %d times after cancellation", got)
+	if got := p.calls.Load(); got != 1 {
+		t.Fatalf("retry loop made %d processor calls, want 1 (cancelled during the first)", got)
 	}
 }
 
@@ -194,9 +189,9 @@ func TestWarmCacheIgnoresUnmeasured(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoversMeasurementConfig: the fingerprint must change
-// with every parameter that alters measured values, and must NOT
-// depend on the worker count (results are worker-count invariant).
+// TestFingerprintCoversMeasurementConfig: the fingerprint spells out
+// the fixed measurement constants and must NOT depend on the worker
+// count (results are worker-count invariant).
 func TestFingerprintCoversMeasurementConfig(t *testing.T) {
 	base := func() *engine.Engine { return engine.New(newSeqProc()) }
 	fp := base().Fingerprint()
@@ -204,19 +199,6 @@ func TestFingerprintCoversMeasurementConfig(t *testing.T) {
 	// default fingerprint keeps these bytes.
 	if want := "engine:v2 reps=11 iters=100 eps=0.02 qspread=0.05 maxreps=33"; fp != want {
 		t.Fatalf("default fingerprint %q, want %q", fp, want)
-	}
-
-	mutations := map[string]func(*engine.Engine){
-		"Reps":       func(g *engine.Engine) { g.Reps++ },
-		"Iterations": func(g *engine.Engine) { g.Iterations *= 2 },
-		"Epsilon":    func(g *engine.Engine) { g.Epsilon *= 2 },
-	}
-	for name, mutate := range mutations {
-		g := base()
-		mutate(g)
-		if g.Fingerprint() == fp {
-			t.Errorf("fingerprint unchanged by %s", name)
-		}
 	}
 
 	g := base()

@@ -2,15 +2,13 @@
 // reproduction, playing the role of nanoBench (Abel & Reineke 2020)
 // in the paper's case study: it executes steady-state kernels on a
 // Processor, repeats each measurement and takes the median, converts
-// raw counters into inverse throughput and per-instruction op counts,
-// and provides the ε-equality on cycles-per-instruction used
-// throughout the inference pipeline (§3.3.4, §4).
+// raw counters into inverse throughput and per-instruction op counts.
 //
 // Since the batch-engine refactor, the harness is a thin
 // compatibility wrapper over internal/engine, which owns the worker
 // pool, the canonical-key cache, in-flight deduplication, retry, and
 // metrics. Harness keeps the call-at-a-time interface that the
-// examples and the ε-equality helpers use.
+// examples use.
 package measure
 
 import (
@@ -41,20 +39,20 @@ type Quality = engine.Quality
 type ContextProcessor = engine.ContextProcessor
 
 // Harness runs measurements with repetition and caching. It embeds
-// the batch engine, so engine configuration (P, Reps, Iterations,
-// Epsilon, Workers) and batch methods (MeasureBatch, Metrics,
-// ClearCache, MeasurementCount) are available directly.
+// the batch engine, so engine configuration (P, Workers) and
+// batch methods (MeasureBatch, Metrics, ClearCache, MeasurementCount)
+// are available directly.
 type Harness struct {
 	*engine.Engine
 }
 
-// NewHarness returns a harness with the paper's parameters: 11
-// repetitions, ε = 0.02 CPI.
+// NewHarness returns a harness with the paper's parameters: the median
+// of 11 runs of 100 kernel iterations.
 func NewHarness(p Processor) *Harness {
 	return &Harness{Engine: engine.New(p)}
 }
 
-// Measure runs the experiment Reps times and returns the processed
+// Measure runs the experiment engine.Reps times and returns the processed
 // median result. Results are cached per experiment. It is the
 // context-free form of Engine.Measure.
 func (h *Harness) Measure(e portmodel.Experiment) (Result, error) {
@@ -69,33 +67,4 @@ func (h *Harness) InvThroughput(e portmodel.Experiment) (float64, error) {
 		return 0, err
 	}
 	return r.InvThroughput, nil
-}
-
-// OpsPerInstruction returns the measured op-counter reading per
-// single instance of instruction key (executed alone).
-func (h *Harness) OpsPerInstruction(key string) (float64, error) {
-	r, err := h.Measure(portmodel.Exp(key))
-	if err != nil {
-		return 0, err
-	}
-	return r.OpsPerIteration, nil
-}
-
-// CPIEqual reports whether two inverse throughputs of experiments
-// with the given lengths are equal within ε CPI (§3.3.4).
-func (h *Harness) CPIEqual(t1 float64, len1 int, t2 float64, len2 int) bool {
-	return abs(t1/float64(len1)-t2/float64(len2)) <= h.Epsilon
-}
-
-// TPEqual reports whether two inverse throughputs of the same
-// experiment length are equal within ε·len cycles.
-func (h *Harness) TPEqual(t1, t2 float64, length int) bool {
-	return abs(t1-t2) <= h.Epsilon*float64(length)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

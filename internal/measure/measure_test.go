@@ -92,30 +92,6 @@ func TestMeasureEmptyAndError(t *testing.T) {
 	}
 }
 
-func TestOpsPerInstruction(t *testing.T) {
-	h := NewHarness(&fakeProc{})
-	v, err := h.OpsPerInstruction("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-1) > 1e-9 {
-		t.Fatalf("ops per instruction = %v", v)
-	}
-}
-
-func TestCPIEqualAndTPEqual(t *testing.T) {
-	h := NewHarness(&fakeProc{})
-	if !h.CPIEqual(1.0, 4, 1.04, 4) {
-		t.Fatal("0.01 CPI difference should be equal at ε=0.02")
-	}
-	if h.CPIEqual(1.0, 4, 1.5, 4) {
-		t.Fatal("0.125 CPI difference should not be equal")
-	}
-	if !h.TPEqual(2.0, 2.05, 4) || h.TPEqual(2.0, 2.2, 4) {
-		t.Fatal("TPEqual thresholds wrong")
-	}
-}
-
 func TestKernelInterleaving(t *testing.T) {
 	// engine.KernelOf must interleave: [3×B, i] becomes B i B B
 	// (round robin), not B B B i; the blocking instructions surround

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"zenport/internal/engine"
@@ -292,9 +293,12 @@ func TestStoreRecoversTornJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Log = func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }
+	s.SetLog(func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) })
 	if n := s.RecordCount(); n != 1 {
 		t.Fatalf("RecordCount after torn recovery = %d, want 1", n)
+	}
+	if len(logged) != 1 || !strings.HasSuffix(logged[0], " torn byte(s) in "+journalFile+" after crash") {
+		t.Fatalf("logged %q, want one torn-tail notice for %s", logged, journalFile)
 	}
 	s.Record(0, "1*imul", engine.Result{InvThroughput: 1.0, Runs: 11})
 	if err := s.Close(); err != nil {
@@ -389,6 +393,28 @@ func TestStoreInvalidatesStaleState(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestStoreLogsOpenNotices: the notices Open emits while recovering
+// the directory reach the log set after it returns, exactly once.
+func TestStoreLogsOpenNotices(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, journalFile), []byte("not a journal"))
+	s, err := Open(dir, testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var logged []string
+	logf := func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }
+	s.SetLog(logf)
+	if len(logged) != 1 || !strings.HasPrefix(logged[0], "persist: discarding "+journalFile+": ") {
+		t.Fatalf("logged %q, want one discard notice for %s", logged, journalFile)
+	}
+	s.SetLog(logf)
+	if len(logged) != 1 {
+		t.Fatalf("notices replayed twice: %q", logged)
 	}
 }
 
@@ -724,7 +750,7 @@ func TestStoreCancellationMidBatchRecovers(t *testing.T) {
 	eng := engine.New(proc)
 	eng.Workers = 1 // sequential keys: a deterministic completed prefix
 	// Let two full experiments complete before the "signal" arrives.
-	proc.after = 2*eng.Reps + 1
+	proc.after = 2*engine.Reps + 1
 	if err := s.Attach(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -733,7 +759,7 @@ func TestStoreCancellationMidBatchRecovers(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
-	done := proc.executions / eng.Reps
+	done := proc.executions / engine.Reps
 	if done == 0 {
 		t.Fatal("cancellation fired before any experiment completed")
 	}
@@ -762,7 +788,7 @@ func TestStoreCancellationMidBatchRecovers(t *testing.T) {
 	if int(m.CacheHits) < done {
 		t.Fatalf("recovered run: %d cache hits, want at least the %d completed before cancellation", m.CacheHits, done)
 	}
-	if proc2.executions >= len(exps)*eng2.Reps {
+	if proc2.executions >= len(exps)*engine.Reps {
 		t.Fatalf("recovered run re-executed everything (%d executions): journal was not recovered", proc2.executions)
 	}
 }

@@ -161,9 +161,12 @@ type Store struct {
 	// dirty marks journal records not yet compacted into the
 	// snapshot.
 	dirty bool
-	// Log, if non-nil, receives one-line notices (recovered records,
-	// invalidated stale state).
-	Log func(format string, args ...any)
+	// log, if non-nil, receives one-line notices (invalidated stale
+	// state, torn journal tails, write failures); see SetLog.
+	log func(format string, args ...any)
+	// pending holds the notices of OpenEpoch until SetLog delivers
+	// them: no caller can set a log before Open returns.
+	pending []string
 }
 
 var _ engine.PersistHook = (*Store)(nil)
@@ -196,7 +199,7 @@ func OpenEpoch(dir, fingerprint string, epoch uint64) (*Store, error) {
 	}
 	s := &Store{dir: dir, fingerprint: fingerprint, epoch: epoch, records: st.records}
 	for _, f := range st.stale {
-		s.logf("persist: discarding %s: %v", filepath.Base(f.path), f.err)
+		s.pending = append(s.pending, fmt.Sprintf("persist: discarding %s: %v", filepath.Base(f.path), f.err))
 		if err := os.Remove(f.path); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
@@ -204,7 +207,7 @@ func OpenEpoch(dir, fingerprint string, epoch uint64) (*Store, error) {
 	var ownGood int64
 	for _, j := range st.journals {
 		if j.TornBytes > 0 {
-			s.logf("persist: ignoring %d torn byte(s) in %s after crash", j.TornBytes, filepath.Base(j.path))
+			s.pending = append(s.pending, fmt.Sprintf("persist: ignoring %d torn byte(s) in %s after crash", j.TornBytes, filepath.Base(j.path)))
 		}
 		if len(j.Records) > 0 {
 			s.dirty = true
@@ -246,9 +249,21 @@ func isStale(err error) bool {
 	return errors.Is(err, ErrFingerprintMismatch) || errors.Is(err, ErrCorrupt)
 }
 
+// SetLog routes the store's one-line notices to log, first delivering
+// the ones OpenEpoch recorded while recovering the directory.
+func (s *Store) SetLog(log func(format string, args ...any)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.log = log
+	for _, n := range s.pending {
+		s.logf("%s", n)
+	}
+	s.pending = nil
+}
+
 func (s *Store) logf(format string, args ...any) {
-	if s.Log != nil {
-		s.Log(format, args...)
+	if s.log != nil {
+		s.log(format, args...)
 	}
 }
 

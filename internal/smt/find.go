@@ -66,19 +66,13 @@ func (in *Instance) FindMapping(exps []MeasuredExp) (*portmodel.Mapping, error) 
 	return in.FindMappingBudget(context.Background(), exps, nil)
 }
 
-// FindMappingContext is FindMapping with cancellation: ctx is checked
-// between DPLL(T) iterations and — through the CDCL loop's restart
-// boundaries — inside each SAT search, so a hung query honors its
-// deadline.
-func (in *Instance) FindMappingContext(ctx context.Context, exps []MeasuredExp) (*portmodel.Mapping, error) {
-	return in.FindMappingBudget(ctx, exps, nil)
-}
-
-// FindMappingBudget is FindMappingContext under a solver budget shared
-// by every SAT search of the query's refinement loop. When the budget
-// runs out the query stops with an error matching
-// sat.ErrBudgetExhausted instead of spinning; nil budget means
-// unlimited.
+// FindMappingBudget is FindMapping with cancellation, under a solver
+// budget shared by every SAT search of the query's refinement loop.
+// ctx is checked between DPLL(T) iterations and — through the CDCL
+// loop's restart boundaries — inside each SAT search, so a hung query
+// honors its deadline. When the budget runs out the query stops with
+// an error matching sat.ErrBudgetExhausted instead of spinning; nil
+// budget means unlimited.
 //
 // It leaves every learned lemma in the store regardless of outcome:
 // anomaly isolation warm-starts the post-exclusion queries from the

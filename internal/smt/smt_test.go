@@ -555,8 +555,8 @@ func TestFindRejectsUninternableExperiments(t *testing.T) {
 		{portmodel.Experiment{"iA": -1}, `portmodel: negative count for "iA"`},
 	} {
 		bad := append(slices.Clone(exps), MeasuredExp{Exp: c.exp, TInv: 1.0})
-		if _, err := in.FindMappingContext(context.Background(), bad); err == nil || err.Error() != c.wantErr {
-			t.Errorf("FindMappingContext(%v) error %v, want %q", c.exp, err, c.wantErr)
+		if _, err := in.FindMappingBudget(context.Background(), bad, nil); err == nil || err.Error() != c.wantErr {
+			t.Errorf("FindMappingBudget(%v) error %v, want %q", c.exp, err, c.wantErr)
 		}
 		if _, err := in.FindOtherMappingBudget(context.Background(), bad, m1, 2, 4, 100, nil); err == nil || err.Error() != c.wantErr {
 			t.Errorf("FindOtherMappingBudget(%v) error %v, want %q", c.exp, err, c.wantErr)

@@ -20,7 +20,6 @@ func quiet(t *testing.T, cfg Config) *Machine {
 func invTP(t *testing.T, m *Machine, e portmodel.Experiment) float64 {
 	t.Helper()
 	h := measure.NewHarness(m)
-	h.Reps = 1
 	v, err := h.InvThroughput(e)
 	if err != nil {
 		t.Fatal(err)

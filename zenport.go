@@ -62,7 +62,7 @@ type (
 	// Scheme is an x86-64 instruction scheme.
 	Scheme = isa.Scheme
 
-	// Harness is the measurement harness (median-of-11, ε-equality).
+	// Harness is the measurement harness (median-of-11, result cache).
 	Harness = measure.Harness
 	// Processor abstracts a machine under measurement.
 	Processor = measure.Processor

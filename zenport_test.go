@@ -77,3 +77,16 @@ func TestFacadeInferSmall(t *testing.T) {
 		t.Fatalf("pred %v vs measured %v", pred, meas)
 	}
 }
+
+// TestRunFingerprintDefault pins the cache key of a default zeninfer
+// run (seed 2600, noise 0.001, no chaos): caches written by earlier
+// builds stay valid only while both halves keep these bytes.
+func TestRunFingerprintDefault(t *testing.T) {
+	machine := zenport.NewZenMachine(zenport.ZenDB(), zenport.SimConfig{Noise: 0.001, Seed: 2600})
+	h := zenport.NewHarness(machine)
+	const want = "zensim:v1 backend=0 seed=2600 noise=0.001 perport=false anomalies=true|" +
+		"engine:v2 reps=11 iters=100 eps=0.02 qspread=0.05 maxreps=33"
+	if got := zenport.RunFingerprint(machine, h.Engine); got != want {
+		t.Fatalf("default RunFingerprint\n got %q\nwant %q", got, want)
+	}
+}
