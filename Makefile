@@ -100,10 +100,13 @@ bench-smoke:
 # request decoder (no panic, no 5xx, every 200 equal to the compiled
 # evaluator), the persist journal decoder (no panic, keyed records,
 # valid prefix plus torn tail equal the file) and sealed-document
-# reader (no panic, an accepted payload re-seals unchanged), and the
+# reader (no panic, an accepted payload re-seals unchanged), the
 # canonical experiment key (order-independent, parses back to the
-# experiment). Go fuzzes one target of one package per run. A failing
-# input is written under the package's testdata/fuzz directory.
+# experiment), and the simulator's on-demand noise source against
+# math/rand (the same NormFloat64, Intn(2) and raw Int63 draws for a
+# fuzzed seed, past the on-demand horizon). Go fuzzes one target of one
+# package per run. A failing input is written under the package's
+# testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzMappingUnmarshalJSON$$' -fuzztime 20s ./internal/portmodel/
@@ -114,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 20s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDocument$$' -fuzztime 20s ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalKey$$' -fuzztime 20s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimSourceMatchesStdlib$$' -fuzztime 20s ./internal/zensim/
 
 clean:
 	$(GO) clean ./...

@@ -15,6 +15,7 @@ import (
 	"zenport/internal/baseline/palmed"
 	"zenport/internal/baseline/pmevo"
 	"zenport/internal/baseline/uopsinfo"
+	"zenport/internal/engine"
 	"zenport/internal/eval"
 	"zenport/internal/lp"
 	"zenport/internal/portmodel"
@@ -537,19 +538,31 @@ func BenchmarkLPSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkSimExecute measures one simulated kernel execution.
+// BenchmarkSimExecute measures one simulated kernel execution: a
+// noise-free five-scheme kernel over ten ports, and the shape stage 4
+// runs most (a blocker ×8 plus the scheme under test, interleaved as
+// the engine does) with the campaign's measurement noise on.
 func BenchmarkSimExecute(b *testing.B) {
-	m := zenport.NewZenMachine(benchDB, zenport.SimConfig{Noise: -1})
-	kernel := []string{
-		"add GPR[32], GPR[32]", "vpor XMM, XMM, XMM", "mov GPR[32], MEM[32]",
-		"vpaddd XMM, XMM, XMM", "add GPR[32], MEM[32]",
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Execute(kernel, 100); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, noise float64, kernel []string) {
+		m := zenport.NewZenMachine(benchDB, zenport.SimConfig{Noise: noise, Seed: 2600})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Execute(kernel, 100); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("mixed5-quiet", func(b *testing.B) {
+		run(b, -1, []string{
+			"add GPR[32], GPR[32]", "vpor XMM, XMM, XMM", "mov GPR[32], MEM[32]",
+			"vpaddd XMM, XMM, XMM", "add GPR[32], MEM[32]",
+		})
+	})
+	b.Run("stage4-noisy", func(b *testing.B) {
+		run(b, 0.001, engine.KernelOf(zenport.Experiment{
+			"vpor XMM, XMM, XMM": 8, "vpaddd XMM, XMM, XMM": 1,
+		}))
+	})
 }
 
 // BenchmarkEngineParallelSweep measures batch measurement throughput

@@ -335,7 +335,7 @@ func runMerge(s *session, dir, out string) error {
 		return err
 	}
 	defer lk.Unlock()
-	rep, err := zenport.MergeShards(dir, fp)
+	rep, err := zenport.MergeShards(dir, fp, log.Printf)
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}

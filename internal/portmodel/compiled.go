@@ -253,13 +253,26 @@ func (c *Compiled) evalVec(w []int32) (PortSet, float64) {
 			sos[u.ports] += float64(int(wi) * int(u.count))
 		}
 	}
+	return DenseBottleneck(sos, union)
+}
+
+// DenseBottleneck is the bottleneck kernel shared by the compiled
+// evaluator and the simulator. On entry sos[q] holds, for every submask
+// q of union, the mass of the µops whose port set is exactly q; other
+// entries are neither read nor written, and sos must be longer than
+// union. It returns the bottleneck max over non-empty q ⊆ union of
+// mass(q)/|q| and its witness, leaving sos[q] = mass(q) behind. When
+// every mass is an integer, as occupancy-weighted µop counts are, the
+// value and the witness are bit-identical to Bottleneck's.
+func DenseBottleneck(sos []float64, union PortSet) (PortSet, float64) {
+	if union == 0 {
+		return 0, 0
+	}
+	sos = sos[:int(union)+1]
 	// Zeta transform over the union's ports: afterwards sos[q] is
 	// mass(q), the total mass of µops confined to q.
-	for b := 0; b < c.numPorts; b++ {
-		bit := PortSet(1) << uint(b)
-		if union&bit == 0 {
-			continue
-		}
+	for rest := union; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
 		for s := union; ; s = (s - 1) & union {
 			if s&bit != 0 {
 				sos[s] += sos[s&^bit]
@@ -269,21 +282,15 @@ func (c *Compiled) evalVec(w []int32) (PortSet, float64) {
 			}
 		}
 	}
-	// Maximize mass(q)/|q|. The reference evaluator enumerates
-	// subsets in ascending compressed-index order and keeps the first
-	// maximum; compression is order-preserving, so that winner is the
-	// numerically smallest maximizing PortSet — enforce the same
-	// tie-break here explicitly (all masses are exact integers, so
-	// float equality is meaningful).
+	// Maximize mass(q)/|q|. Bottleneck enumerates subsets in ascending
+	// compressed-index order and keeps the first maximum; compression
+	// is order-preserving, so that winner is the numerically smallest
+	// maximizing PortSet — enforce the same tie-break here explicitly
+	// (integer masses are exact, so float equality is meaningful).
 	bestQ, best := PortSet(0), -1.0
-	for s := union; ; s = (s - 1) & union {
-		if s != 0 {
-			if v := sos[s] / float64(s.Size()); v > best || (v == best && s < bestQ) {
-				best, bestQ = v, s
-			}
-		}
-		if s == 0 {
-			break
+	for s := union; s != 0; s = (s - 1) & union {
+		if v := sos[s] / float64(s.Size()); v > best || (v == best && s < bestQ) {
+			best, bestQ = v, s
 		}
 	}
 	return bestQ, best

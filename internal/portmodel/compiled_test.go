@@ -254,6 +254,57 @@ func compiledRangeErrors(c *portmodel.Compiled, e portmodel.Experiment) error {
 	return nil
 }
 
+// TestDenseBottleneckMatchesReference checks the shared dense kernel
+// directly against Bottleneck on random integer masses (occupancy-
+// weighted µop counts): the same value and witness, bit for bit, and
+// no allocation.
+func TestDenseBottleneckMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var sos [1 << 10]float64
+	for trial := 0; trial < 2000; trial++ {
+		numPorts := 1 + rng.Intn(10)
+		mass := make(map[portmodel.PortSet]float64)
+		for n := rng.Intn(6); n >= 0; n-- {
+			ps := portmodel.PortSet(1 + rng.Intn(1<<numPorts-1))
+			mass[ps] += float64((1 + rng.Intn(8)) * (1 + rng.Intn(20)))
+		}
+		var union portmodel.PortSet
+		for ps, v := range mass {
+			union |= ps
+			sos[ps] = v
+		}
+		for q := union; q != 0; q = (q - 1) & union {
+			if _, ok := mass[q]; !ok {
+				sos[q] = 0
+			}
+		}
+		wantQ, want := portmodel.Bottleneck(mass)
+		gotQ, got := portmodel.DenseBottleneck(sos[:], union)
+		if gotQ != wantQ || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("masses %v: dense (%v, %v), reference (%v, %v)", mass, gotQ, got, wantQ, want)
+		}
+	}
+	if q, v := portmodel.DenseBottleneck(sos[:], 0); q != 0 || v != 0 {
+		t.Fatalf("empty union: (%v, %v), want (0, 0)", q, v)
+	}
+	// All MaxPorts ports: the union is the largest PortSet value.
+	all := portmodel.PortSet(1<<portmodel.MaxPorts - 1)
+	mass := map[portmodel.PortSet]float64{all: 40, portmodel.MakePortSet(3): 3}
+	big := make([]float64, 1<<portmodel.MaxPorts)
+	for ps, v := range mass {
+		big[ps] = v
+	}
+	wantQ, want := portmodel.Bottleneck(mass)
+	if gotQ, got := portmodel.DenseBottleneck(big, all); gotQ != wantQ || got != want {
+		t.Fatalf("%d ports: dense (%v, %v), reference (%v, %v)", portmodel.MaxPorts, gotQ, got, wantQ, want)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		portmodel.DenseBottleneck(sos[:], portmodel.MakePortSet(0, 1, 2, 3))
+	}); avg != 0 {
+		t.Fatalf("DenseBottleneck allocates %v per run, want 0", avg)
+	}
+}
+
 // TestCompiledZeroAllocSteadyState proves the hot paths allocate
 // nothing once warm: neither the dense-weight queries nor the
 // Experiment-keyed ones, which reuse the weight scratch and touched

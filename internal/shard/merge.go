@@ -53,7 +53,9 @@ func (r *MergeReport) Degraded() bool { return len(r.MissingSlices) > 0 }
 // The caller must hold the campaign directory's exclusive lock
 // (persist.LockDir): the merge writes the root's epoch-0 persist
 // files, and a concurrent merge or non-sharded run would race it.
-func Merge(dir, fingerprint string) (*MergeReport, error) {
+// log receives the root store's notices, such as a stale or corrupt
+// root snapshot or journal being discarded; nil drops them.
+func Merge(dir, fingerprint string, log func(format string, args ...any)) (*MergeReport, error) {
 	m, err := readManifest(dir, fingerprint)
 	if err != nil {
 		return nil, err
@@ -138,6 +140,7 @@ func Merge(dir, fingerprint string) (*MergeReport, error) {
 		return nil, err
 	}
 	defer store.Close()
+	store.SetLog(log)
 	for i := range m.Slices {
 		recs, err := persist.ReadState(SliceDir(dir, i), fingerprint)
 		if err != nil {

@@ -332,7 +332,7 @@ func TestShardCampaignKillAndSteal(t *testing.T) {
 	}
 	t.Logf("victim slice stolen by %q at epoch %d (lease epoch %d)", res.Owner, res.Epoch, lease.Epoch)
 
-	mrep, err := shard.Merge(dir, fp)
+	mrep, err := shard.Merge(dir, fp, t.Logf)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestShardCampaignInProcess(t *testing.T) {
 			t.Fatalf("shard %d completed %v, want its own slice only", id, st.Completed)
 		}
 	}
-	mrep, err := shard.Merge(dir, fp)
+	mrep, err := shard.Merge(dir, fp, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestShardMergeMissingSlice(t *testing.T) {
 			t.Fatalf("shard %d: %v", id, err)
 		}
 	}
-	mrep, err := shard.Merge(dir, fp)
+	mrep, err := shard.Merge(dir, fp, t.Logf)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}

@@ -71,10 +71,14 @@ type Spec struct {
 	// MSOps is the number of macro-ops emitted through the microcode
 	// sequencer. Zero means the instruction is decoded directly.
 	MSOps int
+
+	// key is Scheme.Key(), computed once by Build: the simulator
+	// compares keys on every execution.
+	key string
 }
 
 // Key returns the canonical scheme key.
-func (s *Spec) Key() string { return s.Scheme.Key() }
+func (s *Spec) Key() string { return s.key }
 
 // DB is the Zen+ instruction database.
 type DB struct {
@@ -96,14 +100,14 @@ func Build() *DB {
 
 	db := &DB{specs: specs, byKey: make(map[string]*Spec, len(specs))}
 	for _, sp := range specs {
-		key := sp.Key()
-		if _, dup := db.byKey[key]; dup {
-			panic(fmt.Sprintf("zen: duplicate scheme %q", key))
+		sp.key = sp.Scheme.Key()
+		if _, dup := db.byKey[sp.key]; dup {
+			panic(fmt.Sprintf("zen: duplicate scheme %q", sp.key))
 		}
 		if sp.Occupancy == 0 {
 			sp.Occupancy = 1
 		}
-		db.byKey[key] = sp
+		db.byKey[sp.key] = sp
 	}
 	db.truth = portmodel.NewMapping(NumPorts)
 	for _, sp := range specs {

@@ -1,6 +1,7 @@
 package zen
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,12 @@ func TestGroundTruthValid(t *testing.T) {
 		}
 		if sp.Occupancy < 1 {
 			t.Errorf("%s: occupancy %v < 1", sp.Key(), sp.Occupancy)
+		}
+		// Integral occupancies keep every µop mass an exact integer, so
+		// the simulator's dense bottleneck kernel sums them without
+		// rounding in any order.
+		if sp.Occupancy != math.Trunc(sp.Occupancy) {
+			t.Errorf("%s: occupancy %v is not an integer", sp.Key(), sp.Occupancy)
 		}
 		if sp.Scheme.Attr.Has(isa.AttrNoPorts) && len(sp.Uops) != 0 {
 			t.Errorf("%s: no-port instruction has µops", sp.Key())
@@ -251,6 +258,9 @@ func TestSchemeKeysWellFormed(t *testing.T) {
 	db := Build()
 	for _, sp := range db.Specs() {
 		key := sp.Key()
+		if key != sp.Scheme.Key() {
+			t.Fatalf("stored key %q, scheme key %q", key, sp.Scheme.Key())
+		}
 		if strings.TrimSpace(key) == "" {
 			t.Fatal("empty key")
 		}

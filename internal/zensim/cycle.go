@@ -31,7 +31,7 @@ type cycDecoded struct {
 // The backend exists for the scheduler-fidelity ablation (DESIGN.md
 // E12): unlike the analytic backend it does not solve the LP, so its
 // throughput can fall short of the port-mapping-model optimum.
-func (m *Machine) cycleExecute(specs []*zen.Spec) (float64, []float64, error) {
+func (m *Machine) cycleExecute(specs []*zen.Spec) (float64, [zen.NumPorts]float64) {
 	const (
 		iters      = 64
 		windowSize = 160
@@ -51,7 +51,7 @@ func (m *Machine) cycleExecute(specs []*zen.Spec) (float64, []float64, error) {
 	var (
 		window      []cycUop
 		busy        = make([]float64, zen.NumPorts)
-		loads       = make([]float64, zen.NumPorts)
+		loads       [zen.NumPorts]float64
 		seq         int
 		cycle       int
 		nextInstr   int
@@ -141,7 +141,7 @@ func (m *Machine) cycleExecute(specs []*zen.Spec) (float64, []float64, error) {
 	for p := range loads {
 		loads[p] /= float64(iters)
 	}
-	return per, loads, nil
+	return per, loads
 }
 
 // cycPortDemand counts unassigned window µops admitting port p.

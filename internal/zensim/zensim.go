@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"zenport/internal/isa"
@@ -101,12 +102,19 @@ func NewMachine(db *zen.DB, cfg Config) *Machine {
 // identity — the chaos fault injector keys its per-kernel round
 // counters with it so RestoreExecCount addresses the same streams.
 func KernelHash(kernel []string) uint64 {
-	h := fnv.New64a()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, k := range kernel {
-		_, _ = h.Write([]byte(k))
-		_, _ = h.Write([]byte{0})
+		for i := 0; i < len(k); i++ {
+			h ^= uint64(k[i])
+			h *= prime64
+		}
+		h *= prime64 // the NUL separator; h ^= 0 leaves h unchanged
 	}
-	return h.Sum64()
+	return h
 }
 
 // ExecSeed derives the deterministic RNG seed for execution index n of
@@ -123,14 +131,18 @@ func ExecSeed(seed int64, kh, n uint64) int64 {
 }
 
 // kernelRNG returns the RNG for one execution of kernel, advancing the
-// kernel's repetition counter.
+// kernel's repetition counter. Its stream is that of
+// rand.NewSource(ExecSeed(...)); simSource serves it without seeding
+// the stdlib's 607-word register.
 func (m *Machine) kernelRNG(kernel []string) *rand.Rand {
 	kh := KernelHash(kernel)
 	m.mu.Lock()
 	n := m.seq[kh]
 	m.seq[kh] = n + 1
 	m.mu.Unlock()
-	return rand.New(rand.NewSource(ExecSeed(m.cfg.Seed, kh, n)))
+	var src simSource
+	src.Seed(ExecSeed(m.cfg.Seed, kh, n))
+	return rand.New(&src)
 }
 
 // RestoreExecCount fast-forwards kernel's repetition counter to
@@ -198,16 +210,12 @@ func (m *Machine) Execute(kernel []string, iterations int) (measure.Counters, er
 	rng := m.kernelRNG(kernel)
 
 	var perIter float64
-	var portLoads []float64
-	var err error
+	var portLoads [zen.NumPorts]float64
 	switch m.cfg.Backend {
 	case Cycle:
-		perIter, portLoads, err = m.cycleExecute(specs)
+		perIter, portLoads = m.cycleExecute(specs)
 	default:
-		perIter, portLoads, err = m.analyticExecute(specs, rng)
-	}
-	if err != nil {
-		return measure.Counters{}, err
+		perIter, portLoads = m.analyticExecute(specs, rng)
 	}
 
 	cycles := perIter * float64(iterations)
@@ -254,15 +262,18 @@ func (m *Machine) Execute(kernel []string, iterations int) (measure.Counters, er
 // analyticExecute computes the steady-state inverse throughput of one
 // kernel iteration plus the per-port µop loads of an optimal
 // schedule.
-func (m *Machine) analyticExecute(specs []*zen.Spec, rng *rand.Rand) (float64, []float64, error) {
+func (m *Machine) analyticExecute(specs []*zen.Spec, rng *rand.Rand) (float64, [zen.NumPorts]float64) {
 	// Accumulate occupancy-weighted µop mass per port set.
-	mass := make(map[portmodel.PortSet]float64)
+	var buf [16]portMass
+	mass := buf[:0]
 	for _, sp := range specs {
 		for _, u := range sp.Uops {
-			mass[u.Ports] += float64(u.Count) * sp.Occupancy
+			if v := float64(u.Count) * sp.Occupancy; v > 0 {
+				mass = addMass(mass, u.Ports, v)
+			}
 		}
 	}
-	portTime, loads := optimalLoads(mass, zen.NumPorts)
+	portTime, loads := optimalLoads(mass)
 
 	// Frontend: directly-decoded macro-ops flow at Rmax per cycle;
 	// microcoded instructions switch to the MS at MSRate ops per
@@ -282,20 +293,40 @@ func (m *Machine) analyticExecute(specs []*zen.Spec, rng *rand.Rand) (float64, [
 		t = frontend
 	}
 	if !m.cfg.DisableAnomalies {
-		t += m.anomalyExtra(specs, mass, rng)
+		t += m.anomalyExtra(specs, rng)
 	}
-	return t, loads, nil
+	return t, loads
+}
+
+// portMass is the occupancy-weighted µop mass of one port set.
+type portMass struct {
+	ps portmodel.PortSet
+	v  float64
+}
+
+// addMass adds v to the mass of ps, appending an entry for a new port
+// set.
+func addMass(mass []portMass, ps portmodel.PortSet, v float64) []portMass {
+	for i := range mass {
+		if mass[i].ps == ps {
+			mass[i].v += v
+			return mass
+		}
+	}
+	return append(mass, portMass{ps, v})
 }
 
 // anomalyExtra models the Zen+ behaviours of §4.1–§4.3 that fall
 // outside the port mapping model. It returns additional cycles per
 // kernel iteration.
-func (m *Machine) anomalyExtra(specs []*zen.Spec, mass map[portmodel.PortSet]float64, rng *rand.Rand) float64 {
-	distinct := make(map[string]bool, len(specs))
+func (m *Machine) anomalyExtra(specs []*zen.Spec, rng *rand.Rand) float64 {
+	mixed := false
 	for _, sp := range specs {
-		distinct[sp.Key()] = true
+		if sp.Key() != specs[0].Key() {
+			mixed = true
+			break
+		}
 	}
-	mixed := len(distinct) > 1
 
 	extra := 0.0
 	for _, sp := range specs {
@@ -321,7 +352,7 @@ func (m *Machine) anomalyExtra(specs []*zen.Spec, mass map[portmodel.PortSet]flo
 			// inconsistently on the partner instructions; they only
 			// materialize once at least two partners compete.
 			if mixed && len(specs) >= 3 {
-				extra += m.xferConflict(distinct)
+				extra += m.xferConflict(specs)
 			}
 		case a.Has(isa.AttrThreeRead):
 			// §4.2: three-read FP ops occupy the data lines of a
@@ -392,19 +423,14 @@ func (m *Machine) othersUseFP(specs []*zen.Spec, self *zen.Spec) bool {
 // xferConflict derives a deterministic but partner-dependent penalty
 // for vmovd-style transfers: some partner sets conflict, others do
 // not, with no pattern expressible in the port mapping model.
-func (m *Machine) xferConflict(distinct map[string]bool) float64 {
+func (m *Machine) xferConflict(specs []*zen.Spec) float64 {
+	keys := make([]string, len(specs))
+	for i, sp := range specs {
+		keys[i] = sp.Key()
+	}
+	slices.Sort(keys)
 	h := fnv.New32a()
-	keys := make([]string, 0, len(distinct))
-	for k := range distinct {
-		keys = append(keys, k)
-	}
-	// Sort for determinism.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, k := range keys {
+	for _, k := range slices.Compact(keys) {
 		_, _ = h.Write([]byte(k))
 		_, _ = h.Write([]byte{0})
 	}
@@ -416,47 +442,48 @@ func (m *Machine) xferConflict(distinct map[string]bool) float64 {
 
 // optimalLoads computes the bottleneck value max_Q mass(Q)/|Q| and an
 // optimal per-port load vector achieving it. The value comes from
-// portmodel.Bottleneck, the same evaluator the port model uses; the
+// portmodel.DenseBottleneck, the kernel the compiled port model
+// evaluates with; masses are integer µop counts times integer
+// occupancies, so it equals portmodel.Bottleneck's bit for bit. The
 // load vector is built with a water-filling pass: port sets are
 // processed from most constrained to least constrained, each
 // spreading its mass to equalize the loads of its admissible ports.
-func optimalLoads(mass map[portmodel.PortSet]float64, numPorts int) (float64, []float64) {
-	_, best := portmodel.Bottleneck(mass)
-	loads := make([]float64, numPorts)
+// optimalLoads reorders mass.
+func optimalLoads(mass []portMass) (float64, [zen.NumPorts]float64) {
+	var sos [1 << zen.NumPorts]float64
+	var union portmodel.PortSet
+	for _, e := range mass {
+		union |= e.ps
+		sos[e.ps] = e.v
+	}
+	_, best := portmodel.DenseBottleneck(sos[:], union)
+
 	// Water-filling distribution, highest-pressure port sets first
 	// (pressure = mass per admissible port). Flooded sets place
 	// before flexible µops, so µops that can evade a flooded port do
 	// evade — which is what the per-port counters of real hardware
 	// show in steady state. Ties break toward smaller, then
-	// lower-numbered sets for determinism.
-	type entry struct {
-		ps portmodel.PortSet
-		v  float64
-	}
-	entries := make([]entry, 0, len(mass))
-	for ps, v := range mass {
-		if v > 0 {
-			entries = append(entries, entry{ps, v})
-		}
-	}
-	pressure := func(e entry) float64 { return e.v / float64(e.ps.Size()) }
-	for i := 1; i < len(entries); i++ {
+	// lower-numbered sets, a total order over distinct port sets.
+	pressure := func(e portMass) float64 { return e.v / float64(e.ps.Size()) }
+	for i := 1; i < len(mass); i++ {
 		for j := i; j > 0; j-- {
-			a, b := entries[j-1], entries[j]
+			a, b := mass[j-1], mass[j]
 			pa, pb := pressure(a), pressure(b)
 			less := pb > pa ||
 				(pb == pa && b.ps.Size() < a.ps.Size()) ||
 				(pb == pa && b.ps.Size() == a.ps.Size() && b.ps < a.ps)
 			if less {
-				entries[j-1], entries[j] = b, a
+				mass[j-1], mass[j] = b, a
 			} else {
 				break
 			}
 		}
 	}
-	for _, e := range entries {
+	var loads [zen.NumPorts]float64
+	var portBuf, levelBuf [zen.NumPorts]int
+	for _, e := range mass {
 		remaining := e.v
-		ports := e.ps.Ports()
+		ports := e.ps.Ports(portBuf[:])
 		for remaining > 1e-12 {
 			// Find the lowest-loaded admissible port and the next
 			// level above it.
@@ -467,7 +494,7 @@ func optimalLoads(mass map[portmodel.PortSet]float64, numPorts int) (float64, []
 				}
 			}
 			// All ports at the lowest level share the next chunk.
-			var level []int
+			level := levelBuf[:0]
 			next := -1.0
 			for _, p := range ports {
 				if loads[p] <= loads[low]+1e-12 {

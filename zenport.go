@@ -328,8 +328,10 @@ func RunShard(ctx context.Context, cfg ShardConfig) (*ShardStatus, error) {
 // compacted snapshot at the campaign root. Slices that never reported
 // degrade the merge (their schemes are flagged unresolved) instead of
 // failing it. Callers must hold LockCacheDir on the campaign root.
-func MergeShards(dir, fingerprint string) (*ShardMergeReport, error) {
-	return shard.Merge(dir, fingerprint)
+// log receives the campaign-root store's notices (a discarded stale or
+// corrupt snapshot or journal); nil drops them.
+func MergeShards(dir, fingerprint string, log func(format string, args ...any)) (*ShardMergeReport, error) {
+	return shard.Merge(dir, fingerprint, log)
 }
 
 // ErrBudgetExhausted reports that a solver query stopped because its
