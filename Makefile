@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages under the race detector: the batch
-# engine (worker pool, cache, persist hook, singleflight), the chaos
+# engine (worker pool, cache, persist hook, in-flight dedup), the chaos
 # wrapper, the pipeline on top of them (kill-and-resume golden tests),
 # the serving layer (evaluator pool, prediction LRU, HTTP hammer), and
 # the SMT layer, whose cancellable, budgeted queries run inside those

@@ -114,7 +114,7 @@ func benchFigure5(b *testing.B, blocks int) []eval.ModelResult {
 	}
 	cfg := pmevo.DefaultConfig()
 	cfg.Population, cfg.Generations = 30, 40
-	pm, err := pmevo.Infer(h, keys, cfg)
+	pm, err := pmevo.Infer(context.Background(), h.Engine, keys, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func benchFigure5(b *testing.B, blocks int) []eval.ModelResult {
 			blockers[cls.Rep] = cls.PortCount
 		}
 	}
-	pal, err := palmed.Infer(h, keys, blockers)
+	pal, err := palmed.Infer(context.Background(), h.Engine, keys, blockers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bs, err := eval.SampleBlocks(h, keys, blocks, 5, 7)
+	bs, err := eval.SampleBlocks(context.Background(), h.Engine, keys, blocks, 5, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func BenchmarkE11UopsInfoBaseline(b *testing.B) {
 			Noise: -1, PerPortCounters: true, DisableAnomalies: true,
 		})
 		h := zenport.NewHarness(m)
-		res, err := uopsinfo.Infer(h, blockerKeys)
+		res, err := uopsinfo.Infer(context.Background(), h.Engine, blockerKeys)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func run() error {
 		pmevoCfg.Population, pmevoCfg.Generations = 30, 40
 	}
 	log.Printf("training PMEvo (population %d, %d generations)...", pmevoCfg.Population, pmevoCfg.Generations)
-	pmevoMap, err := pmevo.Infer(h, keys, pmevoCfg)
+	pmevoMap, err := pmevo.Infer(ctx, h.Engine, keys, pmevoCfg)
 	if err != nil {
 		return err
 	}
@@ -151,13 +151,13 @@ func run() error {
 		}
 	}
 	log.Printf("fitting Palmed-style conjunctive model...")
-	palmedModel, err := palmed.Infer(h, keys, blockerPorts)
+	palmedModel, err := palmed.Infer(ctx, h.Engine, keys, blockerPorts)
 	if err != nil {
 		return err
 	}
 
 	log.Printf("sampling %d basic blocks...", *blocks)
-	bs, err := eval.SampleBlocksContext(ctx, h, keys, *blocks, 5, *seed)
+	bs, err := eval.SampleBlocks(ctx, h.Engine, keys, *blocks, 5, *seed)
 	if err != nil {
 		return err
 	}

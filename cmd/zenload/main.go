@@ -3,8 +3,8 @@
 // (p50/p90/p99) and sustained throughput. With -verify, every
 // prediction the daemon serves is checked bit-identical to the batch
 // evaluator (the same compiled-mapping path cmd/zeneval uses), so a
-// load run doubles as a correctness proof: caching, in-flight
-// deduplication, and evaluator pooling must not change a single bit.
+// load run doubles as a correctness proof: caching and evaluator
+// pooling must not change a single bit.
 //
 // Usage:
 //
@@ -381,8 +381,8 @@ func main() {
 			haveStats = true
 			for _, ms := range st.Mappings {
 				if ms.Name == target {
-					fmt.Printf("zenload: server: %d evaluations, %d cache hits, %d coalesced, %d pool compiles, generation %d, breaker %s\n",
-						ms.Evaluations, ms.Cache.Hits, ms.Coalesced, ms.PoolCompiles, ms.Generation, ms.Breaker.State)
+					fmt.Printf("zenload: server: %d evaluations, %d cache hits, %d pool compiles, generation %d, breaker %s\n",
+						ms.Evaluations, ms.Cache.Hits, ms.PoolCompiles, ms.Generation, ms.Breaker.State)
 				}
 			}
 			fmt.Printf("zenload: server: %d shed (gate hw %d), %d panics recovered, %d deadline expiries, %d reloads\n",

@@ -20,11 +20,12 @@
 package palmed
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 )
 
@@ -50,12 +51,13 @@ type Model struct {
 }
 
 // Infer fits a conjunctive model for the scheme keys, given the
-// blocking classes (key and port count per class).
-func Infer(h *measure.Harness, keys []string, blockers map[string]int) (*Model, error) {
+// blocking classes (key and port count per class), measuring its flood
+// benchmarks through g under ctx.
+func Infer(ctx context.Context, g *engine.Engine, keys []string, blockers map[string]int) (*Model, error) {
 	if len(blockers) == 0 {
 		return nil, fmt.Errorf("palmed: no saturating kernels")
 	}
-	rmax := h.P.Rmax()
+	rmax := g.P.Rmax()
 
 	var resources []Resource
 	var bkeys []string
@@ -81,11 +83,11 @@ func Infer(h *measure.Harness, keys []string, blockers map[string]int) (*Model, 
 		if r.Kernel == "" {
 			continue
 		}
-		t, err := h.InvThroughput(portmodel.Experiment{r.Kernel: satCount * int(r.Width)})
+		sat, err := g.Measure(ctx, portmodel.Experiment{r.Kernel: satCount * int(r.Width)})
 		if err != nil {
 			return nil, err
 		}
-		satTP[ri] = t
+		satTP[ri] = sat.InvThroughput
 	}
 
 	for _, key := range sorted {
@@ -101,11 +103,11 @@ func Infer(h *measure.Harness, keys []string, blockers map[string]int) (*Model, 
 				continue
 			}
 			// Pressure = added cycles when the resource is saturated.
-			t, err := h.InvThroughput(portmodel.Experiment{r.Kernel: satCount * int(r.Width), key: 1})
+			with, err := g.Measure(ctx, portmodel.Experiment{r.Kernel: satCount * int(r.Width), key: 1})
 			if err != nil {
 				return nil, err
 			}
-			d := t - satTP[ri]
+			d := with.InvThroughput - satTP[ri]
 			if d < 0 {
 				d = 0
 			}

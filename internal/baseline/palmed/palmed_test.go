@@ -1,10 +1,12 @@
 package palmed
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -12,9 +14,19 @@ import (
 
 var db = zen.Build()
 
-func harness() *measure.Harness {
+func harness() *engine.Engine {
 	m := zensim.NewMachine(db, zensim.Config{Noise: -1, DisableAnomalies: true})
-	return measure.NewHarness(m)
+	return engine.New(m)
+}
+
+// invThroughput measures e on h, failing the test on error.
+func invThroughput(t *testing.T, h *engine.Engine, e portmodel.Experiment) float64 {
+	t.Helper()
+	r, err := h.Measure(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.InvThroughput
 }
 
 var blockers = map[string]int{
@@ -34,14 +46,14 @@ func TestInferAndPredict(t *testing.T) {
 		"add GPR[32], GPR[32]", "vpor XMM, XMM, XMM", "vminps XMM, XMM, XMM",
 		"add GPR[32], MEM[32]", "vpslld XMM, XMM, XMM",
 	}
-	m, err := Infer(h, keys, blockers)
+	m, err := Infer(context.Background(), h, keys, blockers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Singleton predictions should be close: pressure on the own
 	// resource is 1/width.
 	for _, k := range keys[:3] {
-		want, _ := h.InvThroughput(portmodel.Exp(k))
+		want := invThroughput(t, h, portmodel.Exp(k))
 		got, err := m.InverseThroughput(portmodel.Exp(k))
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +70,7 @@ func TestConjunctiveOverestimation(t *testing.T) {
 	// the systematic underestimation of IPC in Figure 5(c).
 	h := harness()
 	keys := []string{"add GPR[32], GPR[32]", "vpaddd XMM, XMM, XMM", "vminps XMM, XMM, XMM"}
-	m, err := Infer(h, keys, blockers)
+	m, err := Infer(context.Background(), h, keys, blockers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +83,7 @@ func TestConjunctiveOverestimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := h.InvThroughput(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred < truth-0.05 {
+	if truth := invThroughput(t, h, e); pred < truth-0.05 {
 		t.Fatalf("palmed predicted faster (%v) than measured (%v)", pred, truth)
 	}
 	ipc, err := m.IPC(e)
@@ -89,14 +97,28 @@ func TestConjunctiveOverestimation(t *testing.T) {
 
 func TestInferErrors(t *testing.T) {
 	h := harness()
-	if _, err := Infer(h, []string{"add GPR[32], GPR[32]"}, nil); err == nil {
+	if _, err := Infer(context.Background(), h, []string{"add GPR[32], GPR[32]"}, nil); err == nil {
 		t.Fatal("expected error without saturating kernels")
 	}
-	m, err := Infer(h, []string{"add GPR[32], GPR[32]"}, blockers)
+	m, err := Infer(context.Background(), h, []string{"add GPR[32], GPR[32]"}, blockers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.InverseThroughput(portmodel.Exp("unknown")); err == nil {
 		t.Fatal("expected error for unknown key")
+	}
+}
+
+// TestInferCanceled proves a cancelled context stops the measurement
+// phase before any processor call.
+func TestInferCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h := harness()
+	if _, err := Infer(ctx, h, []string{"add GPR[32], GPR[32]"}, blockers); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := h.Metrics().ProcessorCalls; n != 0 {
+		t.Fatalf("%d processor calls after cancellation, want 0", n)
 	}
 }

@@ -14,12 +14,13 @@
 package pmevo
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 )
 
@@ -52,14 +53,16 @@ type benchmark struct {
 	tinv float64
 }
 
-// Infer evolves a port mapping for the given scheme keys.
-func Infer(h *measure.Harness, keys []string, cfg Config) (*portmodel.Mapping, error) {
+// Infer evolves a port mapping for the given scheme keys, measuring
+// its benchmark set through g. It stops with ctx's error when ctx
+// ends: during measurement, or at the next generation.
+func Infer(ctx context.Context, g *engine.Engine, keys []string, cfg Config) (*portmodel.Mapping, error) {
 	if cfg.Population == 0 {
 		cfg = DefaultConfig()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	numPorts := h.P.NumPorts()
-	rmax := h.P.Rmax()
+	numPorts := g.P.NumPorts()
+	rmax := g.P.Rmax()
 
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
@@ -67,11 +70,11 @@ func Infer(h *measure.Harness, keys []string, cfg Config) (*portmodel.Mapping, e
 	// Benchmark set: singletons, homogeneous floods, random pairs.
 	var benches []benchmark
 	addBench := func(e portmodel.Experiment) error {
-		t, err := h.InvThroughput(e)
+		r, err := g.Measure(ctx, e)
 		if err != nil {
 			return err
 		}
-		benches = append(benches, benchmark{exp: e, tinv: t})
+		benches = append(benches, benchmark{exp: e, tinv: r.InvThroughput})
 		return nil
 	}
 	for _, k := range sorted {
@@ -111,6 +114,9 @@ func Infer(h *measure.Harness, keys []string, cfg Config) (*portmodel.Mapping, e
 	}
 
 	for gen := 0; gen < cfg.Generations; gen++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Tournament selection + crossover + mutation, elitist.
 		bi := argmin(fit)
 		next := []*portmodel.Mapping{pop[bi].Clone()}

@@ -1,10 +1,12 @@
 package pmevo
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -12,9 +14,9 @@ import (
 
 var db = zen.Build()
 
-func harness() *measure.Harness {
+func harness() *engine.Engine {
 	m := zensim.NewMachine(db, zensim.Config{Noise: -1, DisableAnomalies: true})
-	return measure.NewHarness(m)
+	return engine.New(m)
 }
 
 var evoKeys = []string{
@@ -30,7 +32,7 @@ func TestInferImprovesOverRandom(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Generations = 60
 	cfg.Population = 40
-	m, err := Infer(h, evoKeys, cfg)
+	m, err := Infer(context.Background(), h, evoKeys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +40,11 @@ func TestInferImprovesOverRandom(t *testing.T) {
 	// reasonably (within 30% on average — PMEvo is approximate).
 	sum, n := 0.0, 0
 	for _, k := range evoKeys {
-		want, err := h.InvThroughput(portmodel.Exp(k))
+		r, err := h.Measure(context.Background(), portmodel.Exp(k))
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := r.InvThroughput
 		got, err := m.InverseThroughputBounded(portmodel.Exp(k), h.P.Rmax())
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +61,11 @@ func TestInferDeterministicForSeed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Generations = 10
 	cfg.Population = 20
-	m1, err := Infer(harness(), evoKeys, cfg)
+	m1, err := Infer(context.Background(), harness(), evoKeys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Infer(harness(), evoKeys, cfg)
+	m2, err := Infer(context.Background(), harness(), evoKeys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestInferDeterministicForSeed(t *testing.T) {
 
 func TestMutateKeepsMappingValid(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := Infer(harness(), evoKeys[:2], Config{Population: 10, Generations: 5, MaxUops: 2, PairSamples: 1, Seed: 9})
+	m, err := Infer(context.Background(), harness(), evoKeys[:2], Config{Population: 10, Generations: 5, MaxUops: 2, PairSamples: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,4 +88,18 @@ func TestMutateKeepsMappingValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = cfg
+}
+
+// TestInferCanceled proves a cancelled context stops the measurement
+// phase before any processor call.
+func TestInferCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h := harness()
+	if _, err := Infer(ctx, h, evoKeys, DefaultConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := h.Metrics().ProcessorCalls; n != 0 {
+		t.Fatalf("%d processor calls after cancellation, want 0", n)
+	}
 }

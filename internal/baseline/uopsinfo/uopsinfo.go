@@ -12,12 +12,13 @@
 package uopsinfo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 )
 
@@ -36,9 +37,10 @@ type Result struct {
 	Skipped []string
 }
 
-// Infer runs the uops.info algorithm over the given scheme keys.
-func Infer(h *measure.Harness, keys []string) (*Result, error) {
-	numPorts := h.P.NumPorts()
+// Infer runs the uops.info algorithm over the given scheme keys,
+// measuring through g under ctx.
+func Infer(ctx context.Context, g *engine.Engine, keys []string) (*Result, error) {
+	numPorts := g.P.NumPorts()
 
 	// Step 1: benchmark each instruction alone; read per-port
 	// counters to find blocking instructions.
@@ -55,7 +57,7 @@ func Infer(h *measure.Harness, keys []string) (*Result, error) {
 	sort.Strings(sortedKeys)
 
 	for _, key := range sortedKeys {
-		r, err := h.Measure(portmodel.Exp(key))
+		r, err := g.Measure(ctx, portmodel.Exp(key))
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +115,7 @@ func Infer(h *measure.Harness, keys []string) (*Result, error) {
 			e := portmodel.Experiment{}
 			e[b.key] += k
 			e[key]++ // b.key may equal key: the blocker blocks itself
-			r, err := h.Measure(e)
+			r, err := g.Measure(ctx, e)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,11 @@
 package uopsinfo
 
 import (
+	"context"
 	"errors"
 	"testing"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -12,17 +13,17 @@ import (
 
 var db = zen.Build()
 
-func intelHarness() *measure.Harness {
+func intelHarness() *engine.Engine {
 	m := zensim.NewMachine(db, zensim.Config{Noise: -1, PerPortCounters: true, DisableAnomalies: true})
-	return measure.NewHarness(m)
+	return engine.New(m)
 }
 
 func TestRequiresPerPortCounters(t *testing.T) {
 	// On the Zen+ counter configuration the algorithm must refuse —
 	// this is the premise of the paper.
 	m := zensim.NewMachine(db, zensim.Config{Noise: -1})
-	h := measure.NewHarness(m)
-	_, err := Infer(h, []string{"add GPR[32], GPR[32]"})
+	h := engine.New(m)
+	_, err := Infer(context.Background(), h, []string{"add GPR[32], GPR[32]"})
 	if !errors.Is(err, ErrNoPerPortCounters) {
 		t.Fatalf("err = %v, want ErrNoPerPortCounters", err)
 	}
@@ -49,7 +50,7 @@ func TestInferRecoversGroundTruth(t *testing.T) {
 		"vpaddd YMM, YMM, YMM",
 		"add MEM[64], GPR[64]",
 	}
-	res, err := Infer(h, keys)
+	res, err := Infer(context.Background(), h, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestInferRecoversGroundTruth(t *testing.T) {
 
 func TestInferNoPortInstructions(t *testing.T) {
 	h := intelHarness()
-	res, err := Infer(h, []string{"nop", "add GPR[32], GPR[32]"})
+	res, err := Infer(context.Background(), h, []string{"nop", "add GPR[32], GPR[32]"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestBlockCountFormula(t *testing.T) {
 func TestInferEmptyBlockingSet(t *testing.T) {
 	h := intelHarness()
 	// Only multi-µop schemes: no blocking instruction exists.
-	_, err := Infer(h, []string{"add MEM[32], GPR[32]"})
+	_, err := Infer(context.Background(), h, []string{"add MEM[32], GPR[32]"})
 	if err == nil {
 		t.Fatal("expected error with no blocking instructions")
 	}
@@ -118,7 +119,7 @@ func TestInferEmptyBlockingSet(t *testing.T) {
 func TestMappingPredictsThroughput(t *testing.T) {
 	h := intelHarness()
 	keys := []string{"add GPR[32], GPR[32]", "imul GPR[32], GPR[32]"}
-	res, err := Infer(h, keys)
+	res, err := Infer(context.Background(), h, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +131,19 @@ func TestMappingPredictsThroughput(t *testing.T) {
 	want, _ := db.Truth().InverseThroughput(e)
 	if d := tp - want; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("predicted %v, truth %v", tp, want)
+	}
+}
+
+// TestInferCanceled proves a cancelled context stops the measurement
+// phase before any processor call.
+func TestInferCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h := intelHarness()
+	if _, err := Infer(ctx, h, []string{"add GPR[32], GPR[32]"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := h.Metrics().ProcessorCalls; n != 0 {
+		t.Fatalf("%d processor calls after cancellation, want 0", n)
 	}
 }

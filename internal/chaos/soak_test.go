@@ -14,7 +14,6 @@ import (
 	"zenport/internal/core"
 	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/persist"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -88,7 +87,7 @@ func newSoakPipeline(t testing.TB, workers int, wrap func(engine.Processor) engi
 	if wrap != nil {
 		proc = wrap(proc)
 	}
-	h := measure.NewHarness(proc)
+	h := engine.New(proc)
 	h.Workers = workers
 	opts.Log = t.Logf
 	return core.NewPipeline(h, soakSubset(db), opts)
@@ -206,7 +205,7 @@ func newPersistedChaosPipeline(t *testing.T, dir string, workers int, limit int6
 	}
 	// Deliberately never closed: a killed process does not compact
 	// either. Recovery must work from the raw journal alone.
-	if err := store.Attach(p.H.Engine); err != nil {
+	if err := store.Attach(p.H); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := persist.NewCheckpointer(dir, soakFP)

@@ -29,8 +29,8 @@ import (
 	"fmt"
 	"sort"
 
+	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/persist"
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
@@ -181,7 +181,7 @@ type DegradedMeasurement struct {
 	// Key is the canonical experiment key ("n*scheme|m*scheme").
 	Key string
 	// Quality is the measurement's confidence record.
-	Quality measure.Quality
+	Quality engine.Quality
 }
 
 // Supported returns the number of schemes in the final mapping.
@@ -293,7 +293,7 @@ func DefaultOptions() Options {
 
 // Pipeline runs the inference.
 type Pipeline struct {
-	H       *measure.Harness
+	H       *engine.Engine
 	Schemes []isa.Scheme
 	Opts    Options
 
@@ -302,8 +302,9 @@ type Pipeline struct {
 	lemmaRecords []smt.LemmaRecord
 }
 
-// NewPipeline builds a pipeline over a harness and scheme list.
-func NewPipeline(h *measure.Harness, schemes []isa.Scheme, opts Options) *Pipeline {
+// NewPipeline builds a pipeline measuring through h over a scheme
+// list.
+func NewPipeline(h *engine.Engine, schemes []isa.Scheme, opts Options) *Pipeline {
 	return &Pipeline{H: h, Schemes: schemes, Opts: opts}
 }
 

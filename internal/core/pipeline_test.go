@@ -7,8 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -42,7 +42,7 @@ func newZenPipeline(t *testing.T, schemes []isa.Scheme, seed int64) (*Pipeline, 
 	t.Helper()
 	db := zen.Build()
 	m := zensim.NewMachine(db, zensim.Config{Noise: 0.001, Seed: seed})
-	h := measure.NewHarness(m)
+	h := engine.New(m)
 	opts := DefaultOptions()
 	opts.Log = t.Logf
 	return NewPipeline(h, schemes, opts), db

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/persist"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -28,9 +28,9 @@ type crashProc struct {
 	calls atomic.Int64
 }
 
-func (cp *crashProc) Execute(kernel []string, iterations int) (measure.Counters, error) {
+func (cp *crashProc) Execute(kernel []string, iterations int) (engine.Counters, error) {
 	if cp.calls.Add(1) > cp.limit {
-		return measure.Counters{}, errCrashed
+		return engine.Counters{}, errCrashed
 	}
 	return cp.Machine.Execute(kernel, iterations)
 }
@@ -44,7 +44,7 @@ func newPersistedPipeline(t *testing.T, dir string, schemes []isa.Scheme, worker
 	db := zen.Build()
 	m := zensim.NewMachine(db, zensim.Config{Noise: 0.001, Seed: 42})
 	proc := &crashProc{Machine: m, limit: limit}
-	h := measure.NewHarness(proc)
+	h := engine.New(proc)
 	h.Workers = workers
 	const fp = "resume-test seed=42 noise=0.001"
 	store, err := persist.Open(dir, fp)
@@ -53,7 +53,7 @@ func newPersistedPipeline(t *testing.T, dir string, schemes []isa.Scheme, worker
 	}
 	// Deliberately never closed: a killed process does not compact
 	// either. Recovery must work from the raw journal alone.
-	if err := store.Attach(h.Engine); err != nil {
+	if err := store.Attach(h); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := persist.NewCheckpointer(dir, fp)

@@ -102,7 +102,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 		// CEGAR is inherently sequential — each round's experiment
 		// depends on the previous counter-example — so this is a
 		// single ctx-aware measurement, not a batch.
-		r, err := p.H.Engine.Measure(ctx, other.Exp)
+		r, err := p.H.Measure(ctx, other.Exp)
 		if err != nil {
 			return err
 		}
@@ -159,7 +159,7 @@ func (p *Pipeline) superviseOpts(ctx context.Context) smt.SuperviseOptions {
 		QualityOf: func(e portmodel.Experiment) float64 {
 			// Cache hit for anything stage 3 measured; the robust
 			// spread ranks trustworthiness.
-			r, err := p.H.Engine.Measure(ctx, e)
+			r, err := p.H.Measure(ctx, e)
 			if err != nil {
 				return 0
 			}
@@ -168,7 +168,7 @@ func (p *Pipeline) superviseOpts(ctx context.Context) smt.SuperviseOptions {
 	}
 	if p.Opts.MaxSlack > 0 {
 		opts.Remeasure = func(ctx context.Context, e portmodel.Experiment) (float64, error) {
-			r, err := p.H.Engine.Remeasure(ctx, e)
+			r, err := p.H.Remeasure(ctx, e)
 			if err != nil {
 				return 0, err
 			}

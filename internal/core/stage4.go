@@ -287,11 +287,11 @@ func (p *Pipeline) characterizeOne(ctx context.Context, rep *Report, key string,
 		k := blockCount(b.pu.Size(), info.UopsPostulated, info.TInv)
 		flood := portmodel.Experiment{b.key: k}
 		withI := portmodel.Experiment{b.key: k, key: 1}
-		rOnly, err := p.H.Engine.Measure(ctx, flood)
+		rOnly, err := p.H.Measure(ctx, flood)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		rWith, err := p.H.Engine.Measure(ctx, withI)
+		rWith, err := p.H.Measure(ctx, withI)
 		if err != nil {
 			return nil, nil, false, err
 		}

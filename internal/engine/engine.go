@@ -30,8 +30,9 @@
 // failure after a short jittered backoff. Only the worker count and the
 // persist hook are settable, and neither enters Fingerprint.
 //
-// measure.Harness remains as a thin compatibility wrapper over this
-// package for call-at-a-time use.
+// The engine is the one measurement entry point: the pipeline, the
+// baselines and the evaluation all measure through Measure or
+// MeasureBatch, and every call takes the caller's context.
 package engine
 
 import (
@@ -276,8 +277,8 @@ type Engine struct {
 	cache map[string]Result
 	// flight deduplicates concurrent executions of the same canonical
 	// key. It shares mu, so the cache probe and the in-flight registry
-	// are checked atomically (see Flight).
-	flight *Flight[Result]
+	// are checked atomically (see flight).
+	flight *flight
 	// gen is the cache generation: BeginGeneration/ClearCache bump or
 	// set it, and persisted results are keyed by it so independent
 	// re-measurement rounds (the stage-4 characterization runs) do
@@ -340,7 +341,7 @@ func New(p Processor) *Engine {
 		cache:   make(map[string]Result),
 		lowConf: make(map[string]Quality),
 	}
-	g.flight = NewFlight[Result](&g.mu)
+	g.flight = newFlight(&g.mu)
 	return g
 }
 
@@ -517,13 +518,13 @@ func (g *Engine) InvThroughputs(ctx context.Context, exps []portmodel.Experiment
 // measureKey resolves one canonical key through the cache and the
 // flight's in-flight deduplication. If a concurrent leader fails, the
 // caller retries as leader itself so the error it reports reflects its
-// own context. The probe, commit, and publish hooks run under the
-// engine mutex / outside it exactly as the pre-Flight inline code did,
-// so cache fills, low-confidence registration, generation capture, and
-// journal records keep their ordering guarantees.
+// own context. The probe and commit hooks run under the engine mutex
+// and publish outside it, so cache fills, low-confidence registration,
+// generation capture, and journal records keep their ordering
+// guarantees.
 func (g *Engine) measureKey(ctx context.Context, key string, e portmodel.Experiment) (Result, error) {
 	var gen uint64
-	r, out, err := g.flight.Do(ctx, key,
+	r, out, err := g.flight.do(ctx, key,
 		func() (Result, bool) {
 			r, ok := g.cache[key]
 			return r, ok
@@ -541,7 +542,7 @@ func (g *Engine) measureKey(ctx context.Context, key string, e portmodel.Experim
 				g.Persist.Record(gen, key, r)
 			}
 		})
-	g.coalesced.Add(uint64(out.Joined))
+	g.coalesced.Add(uint64(out.joined))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			g.canceled.Add(1)
@@ -549,9 +550,9 @@ func (g *Engine) measureKey(ctx context.Context, key string, e portmodel.Experim
 		return Result{}, err
 	}
 	switch {
-	case out.Hit:
+	case out.hit:
 		g.cacheHits.Add(1)
-	case out.Led:
+	case out.led:
 		g.executed.Add(1)
 	}
 	g.completed.Add(1)

@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// Flight is a keyed singleflight group: concurrent calls with the same
-// key execute the underlying work once and share the result. It is the
-// engine's in-flight deduplication, factored out so other layers — the
-// serving daemon's per-mapping prediction dedup (internal/serve) — can
-// reuse the exact machinery instead of reimplementing its semantics:
+// flight is the engine's keyed singleflight group: concurrent
+// measurements of the same canonical key execute once and share the
+// result.
 //
-//   - a probe hook runs under the flight's lock before leading or
-//     joining, so a cache shared with the flight is checked atomically
-//     with the in-flight registry (no probe/lead window in which a
-//     finished leader's result is missed and work repeats);
+//   - the probe hook runs under the engine's lock before leading or
+//     joining, so the result cache is checked atomically with the
+//     in-flight registry (no probe/lead window in which a finished
+//     leader's result is missed and work repeats);
 //   - followers wait on the leader observing their own context;
 //   - when a leader fails, each waiting follower retries from the
 //     probe and may lead itself, so the error a caller reports
@@ -22,75 +20,65 @@ import (
 //   - a successful leader commits under the lock (cache fill) and then
 //     publishes outside it (journal I/O) before followers are
 //     released, so anything a follower observes is already durable.
-//
-// The zero value is not ready for use; construct with NewFlight.
-type Flight[V any] struct {
+type flight struct {
 	mu       *sync.Mutex
-	inflight map[string]*flightCall[V]
+	inflight map[string]*flightCall
 }
 
 // flightCall is one in-flight execution other callers can wait on.
-type flightCall[V any] struct {
+type flightCall struct {
 	done chan struct{}
-	val  V
+	val  Result
 	err  error
 }
 
-// FlightOutcome reports how a Do call was resolved, for callers that
-// keep metrics: exactly one of Hit and Led is true unless the caller
-// was a follower for the whole call (both false), and Joined counts
-// how many in-flight leaders were awaited along the way (a follower
-// whose leader failed joins again or leads on the next loop).
-type FlightOutcome struct {
-	// Hit reports that the probe short-circuited the call.
-	Hit bool
-	// Led reports that this caller executed the work itself.
-	Led bool
-	// Joined counts the in-flight executions this caller waited on.
-	Joined int
+// flightOutcome reports how a do call was resolved: exactly one of hit
+// and led is true unless the caller was a follower for the whole call
+// (both false), and joined counts how many in-flight leaders were
+// awaited along the way (a follower whose leader failed joins again or
+// leads on the next loop).
+type flightOutcome struct {
+	// hit reports that the probe short-circuited the call.
+	hit bool
+	// led reports that this caller executed the work itself.
+	led bool
+	// joined counts the in-flight executions this caller waited on.
+	joined int
 }
 
-// NewFlight returns a flight group guarded by mu; a nil mu gives the
-// group its own lock. Passing an external mutex lets a caller guard
-// its result cache and the in-flight registry with one lock — the
-// engine shares its cache mutex so the probe-then-lead sequence is
-// atomic with cache fills.
-func NewFlight[V any](mu *sync.Mutex) *Flight[V] {
-	if mu == nil {
-		mu = new(sync.Mutex)
-	}
-	return &Flight[V]{mu: mu, inflight: make(map[string]*flightCall[V])}
+// newFlight returns a flight group guarded by the engine's mutex, so
+// the probe-then-lead sequence is atomic with cache fills.
+func newFlight(mu *sync.Mutex) *flight {
+	return &flight{mu: mu, inflight: make(map[string]*flightCall)}
 }
 
-// Do resolves key through probe, coalesce, and execute. probe (may be
-// nil) is consulted under the lock first — returning ok short-circuits
-// with its value. If another call for key is in flight, Do waits for
-// it, honoring ctx; a failed leader makes the follower retry from the
+// do resolves key through probe, coalesce, and execute. probe is
+// consulted under the lock first — returning ok short-circuits with
+// its value. If another call for key is in flight, do waits for it,
+// honoring ctx; a failed leader makes the follower retry from the
 // probe. Otherwise the caller leads: fn runs outside the lock, and on
-// success commit (under the lock, may be nil) and then publish
-// (outside the lock, may be nil) run before waiting followers are
-// released. fn's error is returned only to the leader that ran it.
-func (f *Flight[V]) Do(
+// success commit (under the lock) and then publish (outside the lock)
+// run before waiting followers are released. fn's error is returned
+// only to the leader that ran it.
+func (f *flight) do(
 	ctx context.Context,
 	key string,
-	probe func() (V, bool),
-	fn func() (V, error),
-	commit func(V),
-	publish func(V),
-) (V, FlightOutcome, error) {
-	var out FlightOutcome
+	probe func() (Result, bool),
+	fn func() (Result, error),
+	commit func(Result),
+	publish func(Result),
+) (Result, flightOutcome, error) {
+	var out flightOutcome
 	for {
 		f.mu.Lock()
-		if probe != nil {
-			if v, ok := probe(); ok {
-				f.mu.Unlock()
-				out.Hit = true
-				return v, out, nil
-			}
+		if v, ok := probe(); ok {
+			f.mu.Unlock()
+			out.hit = true
+			return v, out, nil
 		}
 		if c, ok := f.inflight[key]; ok {
 			f.mu.Unlock()
-			out.Joined++
+			out.joined++
 			select {
 			case <-c.done:
 				if c.err != nil {
@@ -98,8 +86,7 @@ func (f *Flight[V]) Do(
 				}
 				return c.val, out, nil
 			case <-ctx.Done():
-				var zero V
-				return zero, out, ctx.Err()
+				return Result{}, out, ctx.Err()
 			}
 		}
 		// About to lead: a caller whose context already ended must not
@@ -107,28 +94,26 @@ func (f *Flight[V]) Do(
 		// answering from cache costs nothing).
 		if err := ctx.Err(); err != nil {
 			f.mu.Unlock()
-			var zero V
-			return zero, out, err
+			return Result{}, out, err
 		}
-		c := &flightCall[V]{done: make(chan struct{})}
+		c := &flightCall{done: make(chan struct{})}
 		f.inflight[key] = c
 		f.mu.Unlock()
 
-		out.Led = true
+		out.led = true
 		c.val, c.err = fn()
 		f.mu.Lock()
 		delete(f.inflight, key)
-		if c.err == nil && commit != nil {
+		if c.err == nil {
 			commit(c.val)
 		}
 		f.mu.Unlock()
-		if c.err == nil && publish != nil {
+		if c.err == nil {
 			publish(c.val)
 		}
 		close(c.done)
 		if c.err != nil {
-			var zero V
-			return zero, out, c.err
+			return Result{}, out, c.err
 		}
 		return c.val, out, nil
 	}

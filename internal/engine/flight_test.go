@@ -1,4 +1,4 @@
-package engine_test
+package engine
 
 import (
 	"context"
@@ -7,29 +7,35 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"zenport/internal/engine"
 )
 
-// TestFlightCoalesces proves that concurrent Do calls with one key
+// noProbe never hits and discard ignores a value: the hooks of a
+// flight without a cache.
+func noProbe() (Result, bool) { return Result{}, false }
+func discard(Result)          {}
+
+// tp returns a result carrying v as its inverse throughput.
+func tp(v float64) Result { return Result{InvThroughput: v} }
+
+// TestFlightCoalesces proves that concurrent do calls with one key
 // execute fn exactly once and all observe the leader's value.
 func TestFlightCoalesces(t *testing.T) {
-	f := engine.NewFlight[int](nil)
+	f := newFlight(new(sync.Mutex))
 	var execs atomic.Int64
 	release := make(chan struct{})
 	const callers = 32
 
 	var wg sync.WaitGroup
-	vals := make([]int, callers)
+	vals := make([]Result, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := f.Do(context.Background(), "k", nil, func() (int, error) {
+			v, _, err := f.do(context.Background(), "k", noProbe, func() (Result, error) {
 				execs.Add(1)
 				<-release
-				return 42, nil
-			}, nil, nil)
+				return tp(42), nil
+			}, discard, discard)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
@@ -45,8 +51,8 @@ func TestFlightCoalesces(t *testing.T) {
 		t.Fatalf("fn executed %d times, want 1", n)
 	}
 	for i, v := range vals {
-		if v != 42 {
-			t.Fatalf("caller %d observed %d, want 42", i, v)
+		if v.InvThroughput != 42 {
+			t.Fatalf("caller %d observed %v, want 42", i, v.InvThroughput)
 		}
 	}
 }
@@ -55,27 +61,27 @@ func TestFlightCoalesces(t *testing.T) {
 // executing fn, and that commit fills whatever the probe reads.
 func TestFlightProbeShortCircuits(t *testing.T) {
 	var mu sync.Mutex
-	cache := map[string]int{}
-	f := engine.NewFlight[int](&mu)
-	probe := func() (int, bool) { v, ok := cache["k"]; return v, ok }
-	commit := func(v int) { cache["k"] = v }
+	cache := map[string]Result{}
+	f := newFlight(&mu)
+	probe := func() (Result, bool) { v, ok := cache["k"]; return v, ok }
+	commit := func(v Result) { cache["k"] = v }
 
-	v, out, err := f.Do(context.Background(), "k", probe,
-		func() (int, error) { return 7, nil }, commit, nil)
-	if err != nil || v != 7 || !out.Led || out.Hit {
-		t.Fatalf("first call: v=%d out=%+v err=%v, want led miss 7", v, out, err)
+	v, out, err := f.do(context.Background(), "k", probe,
+		func() (Result, error) { return tp(7), nil }, commit, discard)
+	if err != nil || v.InvThroughput != 7 || !out.led || out.hit {
+		t.Fatalf("first call: v=%v out=%+v err=%v, want led miss 7", v.InvThroughput, out, err)
 	}
-	v, out, err = f.Do(context.Background(), "k", probe,
-		func() (int, error) { t.Fatal("fn ran despite cached value"); return 0, nil }, commit, nil)
-	if err != nil || v != 7 || !out.Hit || out.Led {
-		t.Fatalf("second call: v=%d out=%+v err=%v, want probe hit 7", v, out, err)
+	v, out, err = f.do(context.Background(), "k", probe,
+		func() (Result, error) { t.Fatal("fn ran despite cached value"); return Result{}, nil }, commit, discard)
+	if err != nil || v.InvThroughput != 7 || !out.hit || out.led {
+		t.Fatalf("second call: v=%v out=%+v err=%v, want probe hit 7", v.InvThroughput, out, err)
 	}
 }
 
 // TestFlightFollowerRetriesFailedLeader proves that a follower whose
 // leader fails re-runs the work itself and reports its own outcome.
 func TestFlightFollowerRetriesFailedLeader(t *testing.T) {
-	f := engine.NewFlight[int](nil)
+	f := newFlight(new(sync.Mutex))
 	boom := errors.New("boom")
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
@@ -85,12 +91,12 @@ func TestFlightFollowerRetriesFailedLeader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := f.Do(context.Background(), "k", nil, func() (int, error) {
+		_, _, err := f.do(context.Background(), "k", noProbe, func() (Result, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-release
-			return 0, boom
-		}, nil, nil)
+			return Result{}, boom
+		}, discard, discard)
 		if !errors.Is(err, boom) {
 			t.Errorf("leader error = %v, want boom", err)
 		}
@@ -101,14 +107,14 @@ func TestFlightFollowerRetriesFailedLeader(t *testing.T) {
 	wg2.Add(1)
 	go func() {
 		defer wg2.Done()
-		v, out, err := f.Do(context.Background(), "k", nil, func() (int, error) {
+		v, out, err := f.do(context.Background(), "k", noProbe, func() (Result, error) {
 			calls.Add(1)
-			return 99, nil
-		}, nil, nil)
-		if err != nil || v != 99 {
-			t.Errorf("follower: v=%d err=%v, want 99", v, err)
+			return tp(99), nil
+		}, discard, discard)
+		if err != nil || v.InvThroughput != 99 {
+			t.Errorf("follower: v=%v err=%v, want 99", v.InvThroughput, err)
 		}
-		if out.Joined != 1 || !out.Led {
+		if out.joined != 1 || !out.led {
 			t.Errorf("follower outcome = %+v, want joined once then led", out)
 		}
 	}()
@@ -124,24 +130,24 @@ func TestFlightFollowerRetriesFailedLeader(t *testing.T) {
 // TestFlightFollowerHonorsContext proves a waiting follower returns
 // its own context error while the leader keeps running.
 func TestFlightFollowerHonorsContext(t *testing.T) {
-	f := engine.NewFlight[int](nil)
+	f := newFlight(new(sync.Mutex))
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
 
 	go func() {
-		_, _, _ = f.Do(context.Background(), "k", nil, func() (int, error) {
+		_, _, _ = f.do(context.Background(), "k", noProbe, func() (Result, error) {
 			close(leaderIn)
 			<-release
-			return 1, nil
-		}, nil, nil)
+			return tp(1), nil
+		}, discard, discard)
 	}()
 	<-leaderIn
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := f.Do(ctx, "k", nil, func() (int, error) { return 2, nil }, nil, nil)
+		_, _, err := f.do(ctx, "k", noProbe, func() (Result, error) { return tp(2), nil }, discard, discard)
 		done <- err
 	}()
 	cancel()
@@ -160,17 +166,17 @@ func TestFlightFollowerHonorsContext(t *testing.T) {
 // relies on (a follower must never see a result that is not yet
 // recorded).
 func TestFlightPublishBeforeRelease(t *testing.T) {
-	f := engine.NewFlight[int](nil)
+	f := newFlight(new(sync.Mutex))
 	var published atomic.Bool
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 
 	go func() {
-		_, _, _ = f.Do(context.Background(), "k", nil, func() (int, error) {
+		_, _, _ = f.do(context.Background(), "k", noProbe, func() (Result, error) {
 			close(leaderIn)
 			<-release
-			return 5, nil
-		}, nil, func(int) {
+			return tp(5), nil
+		}, discard, func(Result) {
 			time.Sleep(5 * time.Millisecond) // widen the race window
 			published.Store(true)
 		})
@@ -179,8 +185,8 @@ func TestFlightPublishBeforeRelease(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		_, _, _ = f.Do(context.Background(), "k", nil,
-			func() (int, error) { return 0, nil }, nil, nil)
+		_, _, _ = f.do(context.Background(), "k", noProbe,
+			func() (Result, error) { return Result{}, nil }, discard, discard)
 		done <- published.Load()
 	}()
 	time.Sleep(5 * time.Millisecond)

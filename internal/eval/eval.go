@@ -13,7 +13,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/stats"
 )
@@ -66,15 +66,11 @@ type Block struct {
 }
 
 // SampleBlocks generates n random dependency-free blocks of
-// blockLen instructions drawn from keys and measures their IPC.
-func SampleBlocks(h *measure.Harness, keys []string, n, blockLen int, seed int64) ([]Block, error) {
-	return SampleBlocksContext(context.Background(), h, keys, n, blockLen, seed)
-}
-
-// SampleBlocksContext is SampleBlocks with cancellation. The block
-// set is generated first — the RNG draw order is independent of
-// measurement outcomes — and then measured as one engine batch.
-func SampleBlocksContext(ctx context.Context, h *measure.Harness, keys []string, n, blockLen int, seed int64) ([]Block, error) {
+// blockLen instructions drawn from keys and measures their IPC. The
+// block set is generated first — the RNG draw order is independent of
+// measurement outcomes — and then measured as one engine batch under
+// ctx.
+func SampleBlocks(ctx context.Context, g *engine.Engine, keys []string, n, blockLen int, seed int64) ([]Block, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("eval: no schemes to sample from")
 	}
@@ -89,7 +85,7 @@ func SampleBlocksContext(ctx context.Context, h *measure.Harness, keys []string,
 		}
 		exps[i] = e
 	}
-	results, err := h.MeasureBatch(ctx, exps)
+	results, err := g.MeasureBatch(ctx, exps)
 	if err != nil {
 		return nil, err
 	}

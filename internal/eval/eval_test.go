@@ -1,9 +1,10 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -11,9 +12,9 @@ import (
 
 var db = zen.Build()
 
-func harness() *measure.Harness {
+func harness() *engine.Engine {
 	m := zensim.NewMachine(db, zensim.Config{Noise: -1, DisableAnomalies: true})
-	return measure.NewHarness(m)
+	return engine.New(m)
 }
 
 // truthPredictor predicts with the compiled ground-truth mapping
@@ -39,11 +40,11 @@ var keys = []string{
 
 func TestSampleBlocksDeterministic(t *testing.T) {
 	h := harness()
-	b1, err := SampleBlocks(h, keys, 20, 5, 7)
+	b1, err := SampleBlocks(context.Background(), h, keys, 20, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := SampleBlocks(h, keys, 20, 5, 7)
+	b2, err := SampleBlocks(context.Background(), h, keys, 20, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSampleBlocksDeterministic(t *testing.T) {
 
 func TestEvaluatePerfectPredictor(t *testing.T) {
 	h := harness()
-	blocks, err := SampleBlocks(h, keys, 50, 5, 3)
+	blocks, err := SampleBlocks(context.Background(), h, keys, 50, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestEvaluatePerfectPredictor(t *testing.T) {
 
 func TestEvaluateBadPredictorScoresWorse(t *testing.T) {
 	h := harness()
-	blocks, err := SampleBlocks(h, keys, 50, 5, 3)
+	blocks, err := SampleBlocks(context.Background(), h, keys, 50, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate(nil, nil, 5, 10); err == nil {
 		t.Fatal("empty blocks accepted")
 	}
-	if _, err := SampleBlocks(harness(), nil, 5, 5, 1); err == nil {
+	if _, err := SampleBlocks(context.Background(), harness(), nil, 5, 5, 1); err == nil {
 		t.Fatal("empty key set accepted")
 	}
 }

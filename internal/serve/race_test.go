@@ -106,7 +106,7 @@ func TestEvalPoolConcurrent(t *testing.T) {
 }
 
 // TestServerConcurrentHammer drives the full HTTP stack — decode,
-// LRU, singleflight, evaluator pool — from 64 goroutines with a
+// LRU, gate, evaluator pool — from 64 goroutines with a
 // deliberately overlapping query stream, checking every served
 // prediction bit-identical to the reference evaluator.
 func TestServerConcurrentHammer(t *testing.T) {
@@ -173,11 +173,14 @@ func TestServerConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The singleflight + LRU must have absorbed most of the load:
-	// 64*40 requests over 48 distinct keys cannot all have evaluated.
+	// Each request takes one path: an LRU hit, or a miss that
+	// evaluates exactly once.
 	h := s.state().mappings["zen"]
-	total := uint64(goroutines * iters)
-	if evals := h.evals.Load(); evals >= total {
-		t.Fatalf("every request evaluated (%d of %d): dedup and cache ineffective", evals, total)
+	_, _, hits, misses := h.cache.stats()
+	if total := uint64(goroutines * iters); hits+misses != total {
+		t.Fatalf("LRU hits %d + misses %d != %d requests", hits, misses, total)
+	}
+	if evals := h.evals.Load(); evals != misses {
+		t.Fatalf("%d evaluations for %d LRU misses", evals, misses)
 	}
 }

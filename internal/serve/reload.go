@@ -11,7 +11,6 @@ import (
 	"os"
 	"sort"
 
-	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 )
 
@@ -107,7 +106,6 @@ func (s *Server) buildHandle(name string, m *portmodel.Mapping, gen uint64, old 
 		keys:        m.Keys(),
 		pool:        pool,
 		cache:       newLRU[portmodel.Evaluation](s.cfg.CacheSize),
-		flight:      engine.NewFlight[portmodel.Evaluation](nil),
 		breaker:     newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown, nil),
 	}
 	if old != nil && old.fingerprint == h.fingerprint {

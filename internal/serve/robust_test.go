@@ -669,3 +669,48 @@ func TestStatsRobustnessCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestEndedContextTakesOnlyCacheHits pins the rule for a request whose
+// context has already ended when it reaches predict: an LRU hit still
+// answers 200 with cached: true, because answering from the cache costs
+// nothing, while a miss answers 504 without taking a gate slot, a
+// breaker probe or an evaluation.
+func TestEndedContextTakesOnlyCacheHits(t *testing.T) {
+	s := newTestServer(t, Config{Rmax: 5})
+	hot := predictBody("toy", map[string]int{"add": 1})
+	if w := doReq(s, http.MethodPost, "/v1/predict", hot, nil); w.Code != http.StatusOK {
+		t.Fatalf("warm-up status = %d: %s", w.Code, w.Body.String())
+	}
+	h := s.state().mappings["toy"]
+	admitted, evals, brk := s.gate.stats().Admitted, h.evals.Load(), h.breaker.stats()
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	ended := func(r *http.Request) { *r = *r.WithContext(expired) }
+
+	w := doReq(s, http.MethodPost, "/v1/predict", hot, ended)
+	if w.Code != http.StatusOK {
+		t.Fatalf("hit status = %d, want 200: %s", w.Code, w.Body.String())
+	}
+	var resp PredictResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached {
+		t.Fatalf("hit not served from the cache: %s", w.Body.String())
+	}
+
+	w = doReq(s, http.MethodPost, "/v1/predict", predictBody("toy", map[string]int{"add": 2}), ended)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("miss status = %d, want 504: %s", w.Code, w.Body.String())
+	}
+	if got := s.gate.stats().Admitted; got != admitted {
+		t.Fatalf("gate admitted %d → %d for an ended request", admitted, got)
+	}
+	if got := h.evals.Load(); got != evals {
+		t.Fatalf("evaluations %d → %d for an ended request", evals, got)
+	}
+	if got := h.breaker.stats(); got != brk {
+		t.Fatalf("breaker %+v → %+v for an ended request", brk, got)
+	}
+}

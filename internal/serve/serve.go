@@ -12,19 +12,20 @@
 //   - structural diffs between two loaded mappings (GET/POST
 //     /v1/diff), e.g. two inference runs or two machine generations.
 //
-// The serving hot path composes three layers, each reused from the
-// batch stack rather than reimplemented:
+// The serving hot path is one LRU probe, then at most one guarded
+// evaluation:
 //
-//   - an evaluator pool (evalPool): portmodel.Compiled is
+//   - a bounded per-mapping LRU over canonical experiment keys (the
+//     engine's cache identity), so hot blocks are answered without
+//     touching the pool at all;
+//   - on a miss, an evaluator pool (evalPool): portmodel.Compiled is
 //     single-goroutine by contract, so every in-flight request
 //     borrows an exclusive evaluator from a bounded free list — no
 //     locks on the evaluation itself, no shared scratch state,
-//     race-detector clean at any concurrency;
-//   - in-flight deduplication (engine.Flight): concurrent identical
-//     requests — same canonical experiment key, the engine's cache
-//     identity — evaluate once and share the result;
-//   - a bounded per-mapping LRU over canonical keys, so hot blocks
-//     are answered without touching the pool at all.
+//     race-detector clean at any concurrency.
+//
+// Concurrent identical misses are not coalesced: one evaluation takes
+// a few microseconds, and a load replay coalesced none of 300,000.
 //
 // Around that hot path sit the overload-safety mechanisms a
 // long-running public daemon needs (see admission.go, breaker.go,
@@ -36,9 +37,9 @@
 //     (cache hits bypass the gate entirely);
 //   - deadline propagation: each request gets a budget (server
 //     default, capped per-request via the X-Zenport-Deadline header)
-//     threaded as a context through the singleflight, the gate, and
-//     the evaluator checkout, so a timed-out request frees its
-//     evaluator instead of computing a prediction nobody will read;
+//     threaded as a context through the gate and the evaluator
+//     checkout, so a timed-out request frees its evaluator instead of
+//     computing a prediction nobody will read;
 //     server deadlines answer 504, client disconnects 499;
 //   - panic isolation: a per-request recover converts any handler or
 //     evaluator panic into a 500 + counter instead of killing the
@@ -195,11 +196,9 @@ type handle struct {
 	keys        []string // sorted scheme keys, the suggestion universe
 	pool        *evalPool
 	cache       *lruCache[portmodel.Evaluation]
-	flight      *engine.Flight[portmodel.Evaluation]
 	breaker     *breaker
 
-	evals     atomic.Uint64 // pool evaluations (cache+flight misses)
-	coalesced atomic.Uint64 // requests that joined an in-flight twin
+	evals atomic.Uint64 // pool evaluations (cache misses)
 }
 
 // New returns a server with no mappings loaded.
@@ -515,22 +514,28 @@ func (h *handle) experimentOf(kernel string, exp map[string]int) (portmodel.Expe
 	return e, nil
 }
 
-// predict resolves an experiment through LRU, singleflight, breaker,
-// admission gate, and the evaluator pool. The canonical key —
-// engine.CanonicalKey, the same identity the measurement cache uses —
-// collapses permutations of the same multiset, so "add;mul" and
-// "mul;add" share one cache entry and concurrent identical queries
-// evaluate once. Cache hits bypass breaker and gate entirely: a
-// degraded or saturated mapping still answers its hot set.
-func (h *handle) predict(ctx context.Context, e portmodel.Experiment) (portmodel.Evaluation, engine.FlightOutcome, error) {
+// predict resolves an experiment through the LRU, then the breaker,
+// admission gate and evaluator pool, and reports whether the answer
+// was an LRU hit. The canonical key — engine.CanonicalKey, the same
+// identity the measurement cache uses — collapses permutations of the
+// same multiset, so "add;mul" and "mul;add" share one cache entry.
+// Cache hits bypass breaker and gate entirely: a degraded or saturated
+// mapping still answers its hot set, and so does a request whose
+// context has already ended, which never takes a breaker probe, a gate
+// slot or an evaluator.
+func (h *handle) predict(ctx context.Context, e portmodel.Experiment) (portmodel.Evaluation, bool, error) {
 	key := engine.CanonicalKey(e)
-	p, out, err := h.flight.Do(ctx, key,
-		func() (portmodel.Evaluation, bool) { return h.cache.get(key) },
-		func() (portmodel.Evaluation, error) { return h.evaluateGuarded(ctx, key, e) },
-		func(p portmodel.Evaluation) { h.cache.add(key, p) },
-		nil)
-	h.coalesced.Add(uint64(out.Joined))
-	return p, out, err
+	if p, ok := h.cache.get(key); ok {
+		return p, true, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return portmodel.Evaluation{}, false, err
+	}
+	p, err := h.evaluateGuarded(ctx, key, e)
+	if err == nil {
+		h.cache.add(key, p)
+	}
+	return p, false, err
 }
 
 // evaluateGuarded runs one pool evaluation behind the breaker and the
@@ -564,8 +569,8 @@ func (h *handle) evaluateGuarded(ctx context.Context, key string, e portmodel.Ex
 // error and the evaluator is discarded (its scratch state is
 // suspect), while clean paths — including hook errors — return it to
 // the pool. The evaluation is a pure function of (mapping,
-// experiment), so cache and singleflight sharing cannot change any
-// served value; handlers derive the rmax-bounded values from it.
+// experiment), so cache sharing cannot change any served value;
+// handlers derive the rmax-bounded values from it.
 func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experiment) (p portmodel.Evaluation, err error) {
 	ev, err := h.pool.get(ctx)
 	if err != nil {
@@ -628,10 +633,8 @@ type PredictResponse struct {
 	IPC        float64    `json:"ipc"`
 	Rmax       float64    `json:"rmax"`
 	Bottleneck Bottleneck `json:"bottleneck"`
-	// Cached reports an LRU hit; Coalesced that the request shared a
-	// concurrent identical evaluation.
-	Cached    bool `json:"cached"`
-	Coalesced bool `json:"coalesced,omitempty"`
+	// Cached reports an LRU hit.
+	Cached bool `json:"cached"`
 }
 
 // UopJSON is the wire form of one µop, matching mapping.json.
@@ -710,9 +713,12 @@ type CacheStats struct {
 
 // MappingStats is one mapping's serving counters.
 type MappingStats struct {
-	Name         string       `json:"name"`
-	Cache        CacheStats   `json:"cache"`
-	Evaluations  uint64       `json:"evaluations"`
+	Name        string     `json:"name"`
+	Cache       CacheStats `json:"cache"`
+	Evaluations uint64     `json:"evaluations"`
+	// Coalesced is always 0: serving no longer coalesces identical
+	// misses. The field stays because the benchmark harness reads it
+	// from this struct; it goes with the next change to the benchmark.
 	Coalesced    uint64       `json:"coalesced"`
 	PoolCompiles uint64       `json:"pool_compiles"`
 	Generation   uint64       `json:"generation"`
@@ -779,7 +785,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	p, out, err := h.predict(ctx, e)
+	p, cached, err := h.predict(ctx, e)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -799,8 +805,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		IPC:                    ipc,
 		Rmax:                   s.cfg.Rmax,
 		Bottleneck:             bottleneckOf(p),
-		Cached:                 out.Hit,
-		Coalesced:              out.Joined > 0,
+		Cached:                 cached,
 	})
 }
 
@@ -947,7 +952,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Name:         name,
 			Cache:        CacheStats{Entries: entries, Capacity: capacity, Hits: hits, Misses: misses},
 			Evaluations:  h.evals.Load(),
-			Coalesced:    h.coalesced.Load(),
 			PoolCompiles: h.pool.compiles.Load(),
 			Generation:   h.generation,
 			Fingerprint:  h.fingerprint,

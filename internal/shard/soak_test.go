@@ -16,8 +16,8 @@ import (
 
 	"zenport/internal/chaos"
 	"zenport/internal/core"
+	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/persist"
 	"zenport/internal/portmodel"
 	"zenport/internal/shard"
@@ -105,8 +105,8 @@ func newSoakProcessor(db *zen.DB, crashAfter uint64) *chaos.Processor {
 func campaignFingerprint() string {
 	db := zen.Build()
 	cp := newSoakProcessor(db, 0)
-	h := measure.NewHarness(cp)
-	return cp.Fingerprint() + "|" + h.Engine.Fingerprint()
+	h := engine.New(cp)
+	return cp.Fingerprint() + "|" + h.Fingerprint()
 }
 
 // sliceRunCallback wires one slice execution the way cmd/zeninfer
@@ -116,15 +116,15 @@ func sliceRunCallback(workers int, crashAfter uint64, logf func(string, ...any))
 	return func(ctx context.Context, sr *shard.SliceRun) (*shard.Outcome, error) {
 		db := zen.Build()
 		cp := newSoakProcessor(db, crashAfter)
-		h := measure.NewHarness(cp)
+		h := engine.New(cp)
 		h.Workers = workers
-		fp := cp.Fingerprint() + "|" + h.Engine.Fingerprint()
+		fp := cp.Fingerprint() + "|" + h.Fingerprint()
 		store, err := persist.OpenEpoch(sr.Dir, fp, sr.Epoch)
 		if err != nil {
 			return nil, err
 		}
 		defer store.Close()
-		if err := store.Attach(h.Engine); err != nil {
+		if err := store.Attach(h); err != nil {
 			return nil, err
 		}
 		ck, err := persist.NewCheckpointer(sr.Dir, fp)
@@ -136,7 +136,7 @@ func sliceRunCallback(workers int, crashAfter uint64, logf func(string, ...any))
 		opts.Resume = true
 		opts.CharacterizeFilter = sr.Filter
 		opts.Log = logf
-		sr.SetProgress(h.Engine.Progress)
+		sr.SetProgress(h.Progress)
 		rep, err := core.NewPipeline(h, soakSchemes(db), opts).RunContext(ctx)
 		if err != nil {
 			return nil, err
@@ -210,7 +210,7 @@ func soakGolden(t *testing.T) []byte {
 	t.Helper()
 	goldenOnce.Do(func() {
 		db := zen.Build()
-		h := measure.NewHarness(zensim.NewMachine(db, zensim.Config{Noise: 0.001, Seed: soakSeed}))
+		h := engine.New(zensim.NewMachine(db, zensim.Config{Noise: 0.001, Seed: soakSeed}))
 		h.Workers = 4
 		rep, err := core.NewPipeline(h, soakSchemes(db), core.DefaultOptions()).Run()
 		if err != nil {
@@ -238,7 +238,7 @@ func calibrateCrash(t *testing.T, victimSlice []string, workers int) uint64 {
 	t.Helper()
 	db := zen.Build()
 	cp := newSoakProcessor(db, 0)
-	h := measure.NewHarness(cp)
+	h := engine.New(cp)
 	h.Workers = workers
 	opts := core.DefaultOptions()
 	opts.CharacterizeFilter = shard.Membership(victimSlice)

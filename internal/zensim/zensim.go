@@ -27,8 +27,8 @@ import (
 	"slices"
 	"sync"
 
+	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 )
@@ -83,7 +83,7 @@ type Machine struct {
 	seq map[uint64]uint64
 }
 
-var _ measure.Processor = (*Machine)(nil)
+var _ engine.Processor = (*Machine)(nil)
 
 // NewMachine builds a machine over the given database.
 func NewMachine(db *zen.DB, cfg Config) *Machine {
@@ -193,16 +193,16 @@ func (m *Machine) Rmax() float64 { return zen.Rmax }
 // DB returns the underlying database.
 func (m *Machine) DB() *zen.DB { return m.db }
 
-// Execute implements measure.Processor.
-func (m *Machine) Execute(kernel []string, iterations int) (measure.Counters, error) {
+// Execute implements engine.Processor.
+func (m *Machine) Execute(kernel []string, iterations int) (engine.Counters, error) {
 	if iterations < 1 {
-		return measure.Counters{}, fmt.Errorf("zensim: iterations must be positive")
+		return engine.Counters{}, fmt.Errorf("zensim: iterations must be positive")
 	}
 	specs := make([]*zen.Spec, len(kernel))
 	for i, key := range kernel {
 		sp, ok := m.db.Get(key)
 		if !ok {
-			return measure.Counters{}, fmt.Errorf("zensim: unknown scheme %q", key)
+			return engine.Counters{}, fmt.Errorf("zensim: unknown scheme %q", key)
 		}
 		specs[i] = sp
 	}
@@ -238,7 +238,7 @@ func (m *Machine) Execute(kernel []string, iterations int) (measure.Counters, er
 		cycles = 0
 	}
 
-	c := measure.Counters{
+	c := engine.Counters{
 		Cycles:       cycles,
 		Instructions: uint64(len(kernel) * iterations),
 		Ops:          uint64(ops * iterations),

@@ -1,10 +1,11 @@
 package zensim
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"zenport/internal/measure"
+	"zenport/internal/engine"
 	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 )
@@ -19,12 +20,11 @@ func quiet(t *testing.T, cfg Config) *Machine {
 
 func invTP(t *testing.T, m *Machine, e portmodel.Experiment) float64 {
 	t.Helper()
-	h := measure.NewHarness(m)
-	v, err := h.InvThroughput(e)
+	r, err := engine.New(m).Measure(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return r.InvThroughput
 }
 
 func TestSingleInstructionThroughputs(t *testing.T) {
@@ -255,12 +255,11 @@ func TestExecuteErrors(t *testing.T) {
 
 func TestNoiseIsAppliedAndMedianFilters(t *testing.T) {
 	m := NewMachine(testDB, Config{Noise: 0.01, Seed: 3})
-	h := measure.NewHarness(m)
-	v, err := h.InvThroughput(portmodel.Experiment{"add GPR[32], GPR[32]": 4})
+	r, err := engine.New(m).Measure(context.Background(), portmodel.Experiment{"add GPR[32], GPR[32]": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(v-1.0) > 0.02 {
+	if v := r.InvThroughput; math.Abs(v-1.0) > 0.02 {
 		t.Fatalf("median-filtered throughput %v, want ≈1.0", v)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"zenport/internal/core"
 	"zenport/internal/engine"
 	"zenport/internal/isa"
-	"zenport/internal/measure"
 	"zenport/internal/persist"
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
@@ -62,12 +61,10 @@ type (
 	// Scheme is an x86-64 instruction scheme.
 	Scheme = isa.Scheme
 
-	// Harness is the measurement harness (median-of-11, result cache).
-	Harness = measure.Harness
 	// Processor abstracts a machine under measurement.
-	Processor = measure.Processor
+	Processor = engine.Processor
 	// Counters are raw performance-counter readings.
-	Counters = measure.Counters
+	Counters = engine.Counters
 	// Engine is the batch measurement engine: worker pool,
 	// canonical-key cache, in-flight deduplication, bounded retry,
 	// and cancellation.
@@ -234,9 +231,26 @@ func ZenSchemes(db *zen.DB) []Scheme {
 // NewZenMachine builds a simulated Zen+ processor over the database.
 func NewZenMachine(db *zen.DB, cfg SimConfig) *Machine { return zensim.NewMachine(db, cfg) }
 
+// Harness is the measurement harness (median-of-11, result cache):
+// the batch engine, with a call-at-a-time InvThroughput for the
+// examples. Everything else — Measure, MeasureBatch, Workers, Metrics
+// — is the embedded Engine's.
+type Harness struct{ *Engine }
+
 // NewHarness builds a measurement harness with the paper's
-// parameters (11 repetitions, ε = 0.02 CPI).
-func NewHarness(p Processor) *Harness { return measure.NewHarness(p) }
+// parameters (median of 11 repetitions) and a GOMAXPROCS-sized worker
+// pool.
+func NewHarness(p Processor) *Harness { return &Harness{Engine: engine.New(p)} }
+
+// InvThroughput measures the experiment without a deadline and
+// returns its median inverse throughput.
+func (h *Harness) InvThroughput(e Experiment) (float64, error) {
+	r, err := h.Measure(context.Background(), e)
+	if err != nil {
+		return 0, err
+	}
+	return r.InvThroughput, nil
+}
 
 // NewEngine builds a batch measurement engine with the paper's
 // parameters and a GOMAXPROCS-sized worker pool.
@@ -342,12 +356,12 @@ var ErrBudgetExhausted = sat.ErrBudgetExhausted
 // Infer runs the full four-stage inference pipeline of the paper
 // over the given schemes, measuring through the harness.
 func Infer(h *Harness, schemes []Scheme, opts Options) (*Report, error) {
-	return core.NewPipeline(h, schemes, opts).Run()
+	return core.NewPipeline(h.Engine, schemes, opts).Run()
 }
 
 // InferContext is Infer with cancellation: measurement batches and
 // solver queries stop promptly when ctx fires, and the error wraps
 // ctx.Err().
 func InferContext(ctx context.Context, h *Harness, schemes []Scheme, opts Options) (*Report, error) {
-	return core.NewPipeline(h, schemes, opts).RunContext(ctx)
+	return core.NewPipeline(h.Engine, schemes, opts).RunContext(ctx)
 }
