@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
 	"zenport/internal/engine"
 	"zenport/internal/isa"
 	"zenport/internal/portmodel"
+	"zenport/internal/smt"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
 )
@@ -341,38 +343,77 @@ func goldenSubset(db *zen.DB) []isa.Scheme {
 	return out
 }
 
-// TestPipelineWorkerCountInvariance is the tentpole's golden test:
-// the complete pipeline, run with 1, 4, and 16 measurement workers on
-// the same seed, must produce a byte-identical final mapping JSON —
-// the same artifact zeninfer -out writes.
+// anomalySubset is goldenSubset plus one §4.3 anomaly, so the model
+// turns UNSAT and stage 3 runs the culprit isolation on the workers.
+func anomalySubset(db *zen.DB) []isa.Scheme {
+	return append(goldenSubset(db), db.MustGet("imul GPR[32], GPR[32]").Scheme)
+}
+
+// TestPipelineWorkerCountInvariance is the parallel-determinism golden
+// test: the complete pipeline, run with 1, 0 (GOMAXPROCS), 4 and 16
+// workers on the same seed, must produce a byte-identical final
+// mapping JSON — the same artifact zeninfer -out writes — and the same
+// anomalous blockers, CEGAR rounds and solver counters. The worker
+// count sizes both the measurement pool and the stage-3 isolation
+// fan-out, which the anomaly subset reaches.
 func TestPipelineWorkerCountInvariance(t *testing.T) {
 	db := zen.Build()
-	var golden []byte
-	workerSweep := []int{1, 4, 16}
+	workerSweep := []int{1, 0, 4, 16}
 	if raceEnabled {
-		workerSweep = []int{1, 4}
+		workerSweep = []int{1, 0, 4}
 	}
-	for _, workers := range workerSweep {
-		p, _ := newZenPipeline(t, goldenSubset(db), 42)
-		p.H.Workers = workers
-		rep, err := p.RunContext(context.Background())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, err := json.MarshalIndent(rep.Final, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if golden == nil {
-			golden = data
-			if rep.Supported() == 0 {
-				t.Fatal("golden run characterized nothing")
+	for _, tc := range []struct {
+		name    string
+		schemes []isa.Scheme
+		anomaly bool
+	}{
+		{"golden", goldenSubset(db), false},
+		{"anomaly", anomalySubset(db), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				mapping   string
+				anomalous []string
+				rounds    int
+				solver    smt.QueryStats
 			}
-			continue
-		}
-		if string(data) != string(golden) {
-			t.Fatalf("mapping JSON differs between 1 and %d workers", workers)
-		}
+			var golden *outcome
+			for _, workers := range workerSweep {
+				p, _ := newZenPipeline(t, tc.schemes, 42)
+				p.H.Workers = workers
+				rep, err := p.RunContext(context.Background())
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				data, err := json.MarshalIndent(rep.Final, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := &outcome{string(data), rep.AnomalousBlockers, rep.CEGARRounds, rep.Supervision.Solver}
+				if golden == nil {
+					golden = got
+					if rep.Supported() == 0 {
+						t.Fatal("golden run characterized nothing")
+					}
+					if (len(got.anomalous) > 0) != tc.anomaly {
+						t.Fatalf("anomalous blockers %v, want isolation run: %v", got.anomalous, tc.anomaly)
+					}
+					continue
+				}
+				if got.mapping != golden.mapping {
+					t.Errorf("mapping JSON differs between 1 and %d workers", workers)
+				}
+				if !slices.Equal(got.anomalous, golden.anomalous) {
+					t.Errorf("workers=%d: anomalous blockers %v, want %v", workers, got.anomalous, golden.anomalous)
+				}
+				if got.rounds != golden.rounds {
+					t.Errorf("workers=%d: %d CEGAR rounds, want %d", workers, got.rounds, golden.rounds)
+				}
+				if got.solver != golden.solver {
+					t.Errorf("workers=%d: solver telemetry %+v, want %+v", workers, got.solver, golden.solver)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"zenport/internal/persist"
 	"zenport/internal/portmodel"
@@ -117,9 +118,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 		})
 	}
 	// Round budget exhausted: accept the last consistent mapping.
-	m1, relaxed, srep, err := inst.FindMappingSupervised(ctx, exps, p.superviseOpts(ctx))
-	exps = relaxed
-	_ = exps
+	m1, _, srep, err := inst.FindMappingSupervised(ctx, exps, p.superviseOpts(ctx))
 	p.foldSupervision(rep, srep)
 	if errors.Is(err, sat.ErrBudgetExhausted) {
 		return p.degradeStage3(rep, inst, lastGood, maxCEGARRounds)
@@ -290,14 +289,17 @@ func (p *Pipeline) excludeMnemonicFamily(rep *Report, culprit string) {
 // experiments), suspicion falls back to per-experiment sub-problems.
 func (p *Pipeline) isolateCulprit(ctx context.Context, inst *smt.Instance, exps []smt.MeasuredExp) (string, error) {
 	keys := inst.SortedKeys()
+	unsat, err := p.unsatQueries(ctx, inst.Telemetry, len(keys), func(i int) (*smt.Instance, []smt.MeasuredExp) {
+		excl := map[string]bool{keys[i]: true}
+		return inst.Without(excl), smt.FilterExps(exps, excl)
+	})
+	if err != nil {
+		return "", err
+	}
 	var fixes []string
-	for _, k := range keys {
-		excl := map[string]bool{k: true}
-		sub := inst.Without(excl)
-		if _, err := sub.FindMappingBudget(ctx, smt.FilterExps(exps, excl), nil); err == nil {
+	for i, k := range keys {
+		if !unsat[i] {
 			fixes = append(fixes, k)
-		} else if !errors.Is(err, smt.ErrNoMapping) {
-			return "", err
 		}
 	}
 	if len(fixes) == 1 {
@@ -310,7 +312,7 @@ func (p *Pipeline) isolateCulprit(ctx context.Context, inst *smt.Instance, exps 
 	// No single removal fixes the model: several instructions are
 	// anomalous at once. Score keys by how many measured experiments
 	// become satisfiable sub-problems only without them.
-	suspicion := map[string]int{}
+	var subs []map[string]bool
 	for _, me := range exps {
 		if me.Exp.Len() < 2 {
 			continue
@@ -319,13 +321,20 @@ func (p *Pipeline) isolateCulprit(ctx context.Context, inst *smt.Instance, exps 
 		for k := range me.Exp {
 			sub[k] = true
 		}
-		si := subInstance(inst, sub)
-		if _, err := si.FindMappingBudget(ctx, expsOver(exps, sub), nil); errors.Is(err, smt.ErrNoMapping) {
+		subs = append(subs, sub)
+	}
+	unsat, err = p.unsatQueries(ctx, inst.Telemetry, len(subs), func(i int) (*smt.Instance, []smt.MeasuredExp) {
+		return subInstance(inst, subs[i]), expsOver(exps, subs[i])
+	})
+	if err != nil {
+		return "", err
+	}
+	suspicion := map[string]int{}
+	for i, sub := range subs {
+		if unsat[i] {
 			for k := range sub {
 				suspicion[k]++
 			}
-		} else if err != nil {
-			return "", err
 		}
 	}
 	p.logf("stage 3: culprit isolation: suspicion=%v over %d experiments", suspicion, len(exps))
@@ -390,22 +399,24 @@ func (p *Pipeline) probeDiagnose(ctx context.Context, inst *smt.Instance, exps [
 	if err != nil {
 		return "", err
 	}
-	scores := map[string]int{}
-	for i, pp := range grid {
-		s, partner := pp.s, pp.partner
-		keys := map[string]bool{partner: true, s: true}
-		sub := subInstance(inst, keys)
+	unsat, err := p.unsatQueries(ctx, inst.Telemetry, len(grid), func(i int) (*smt.Instance, []smt.MeasuredExp) {
+		s, partner := grid[i].s, grid[i].partner
+		sub := subInstance(inst, map[string]bool{partner: true, s: true})
 		var subExps []smt.MeasuredExp
 		for _, k := range []string{partner, s} {
 			if ts, ok := singleton[k]; ok {
 				subExps = append(subExps, smt.MeasuredExp{Exp: portmodel.Exp(k), TInv: ts})
 			}
 		}
-		subExps = append(subExps, smt.MeasuredExp{Exp: probes[i], TInv: probeT[i]})
-		if _, err := sub.FindMappingBudget(ctx, subExps, nil); errors.Is(err, smt.ErrNoMapping) {
-			scores[s]++
-		} else if err != nil {
-			return "", err
+		return sub, append(subExps, smt.MeasuredExp{Exp: probes[i], TInv: probeT[i]})
+	})
+	if err != nil {
+		return "", err
+	}
+	scores := map[string]int{}
+	for i, pp := range grid {
+		if unsat[i] {
+			scores[pp.s]++
 		}
 	}
 	p.logf("stage 3: probe diagnosis: scores=%v", scores)
@@ -430,6 +441,90 @@ func (p *Pipeline) probeDiagnose(ctx context.Context, inst *smt.Instance, exps [
 		best = suspects[0]
 	}
 	return best, nil
+}
+
+// unsatQueries answers n independent feasibility queries of the §4.3
+// diagnosis on the engine's workers: query(i) builds the i-th
+// sub-instance and its experiments, and unsat[i] reports whether
+// FindMappingBudget found no mapping for them. query runs on a worker
+// and may only read shared state. Each query records its own
+// telemetry; the records are summed into tel in index order once every
+// query has returned.
+//
+// Queries start in index order. A query that fails with an error
+// other than smt.ErrNoMapping cancels every query of a higher index,
+// and the error of the lowest failing index is returned, so the
+// outcome never depends on completion order. No goroutine outlives
+// the call.
+func (p *Pipeline) unsatQueries(ctx context.Context, tel *smt.QueryStats, n int, query func(i int) (*smt.Instance, []smt.MeasuredExp)) ([]bool, error) {
+	unsat := make([]bool, n)
+	errs := make([]error, n)
+	stats := make([]smt.QueryStats, n)
+	cancels := make([]context.CancelFunc, n)
+	var (
+		mu     sync.Mutex
+		next   int
+		failed = n // lowest failing index so far
+		wg     sync.WaitGroup
+	)
+	// claim hands out the next index with its own context, or -1 when
+	// every index has started or the rest lie above a failure.
+	claim := func() (int, context.Context) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next >= n || next > failed {
+			return -1, nil
+		}
+		i := next
+		next++
+		qctx, cancel := context.WithCancel(ctx)
+		cancels[i] = cancel
+		return i, qctx
+	}
+	fail := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i < failed {
+			failed = i
+			for j := i + 1; j < next; j++ {
+				cancels[j]()
+			}
+		}
+	}
+	for w := min(p.H.WorkerCount(), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i, qctx := claim()
+				if i < 0 {
+					return
+				}
+				sub, exps := query(i)
+				sub.Telemetry = &stats[i]
+				_, err := sub.FindMappingBudget(qctx, exps, nil)
+				if errors.Is(err, smt.ErrNoMapping) {
+					unsat[i] = true
+				} else if err != nil {
+					errs[i] = err
+					fail(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if cancels[i] != nil {
+			cancels[i]()
+		}
+		if tel != nil {
+			tel.Add(stats[i])
+		}
+	}
+	if failed < n {
+		return nil, errs[failed]
+	}
+	return unsat, nil
 }
 
 // instPortCount returns the declared port count of a key's first µop.

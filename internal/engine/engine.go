@@ -443,7 +443,7 @@ func (g *Engine) MeasureBatch(ctx context.Context, exps []portmodel.Experiment) 
 		j.idxs = append(j.idxs, i)
 	}
 
-	workers := g.workerCount()
+	workers := g.WorkerCount()
 	if workers > len(order) {
 		workers = len(order)
 	}
@@ -813,8 +813,9 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// workerCount resolves the configured pool size.
-func (g *Engine) workerCount() int {
+// WorkerCount resolves the configured pool size: Workers, or
+// GOMAXPROCS when Workers ≤ 0.
+func (g *Engine) WorkerCount() int {
 	if g.Workers > 0 {
 		return g.Workers
 	}

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -220,6 +221,33 @@ func (s *Solver) NewVar() int {
 	}
 	s.orderInsert(v)
 	return s.numVars
+}
+
+// Clone returns an independent deep copy of the solver: clauses,
+// assignment, decision order, search state and lifetime counters. The
+// copy continues exactly as the original would, so solving a clone of
+// an encoding follows the same trajectory as solving the encoding.
+func (s *Solver) Clone() *Solver {
+	c := *s
+	c.arena = slices.Clone(s.arena)
+	c.watches = make([][]cref, len(s.watches))
+	for i, w := range s.watches {
+		c.watches[i] = slices.Clone(w)
+	}
+	c.vals = slices.Clone(s.vals)
+	c.level = slices.Clone(s.level)
+	c.reason = slices.Clone(s.reason)
+	c.trail = slices.Clone(s.trail)
+	c.trailLl = slices.Clone(s.trailLl)
+	c.activity = slices.Clone(s.activity)
+	c.polarity = slices.Clone(s.polarity)
+	c.heap = slices.Clone(s.heap)
+	c.heapPos = slices.Clone(s.heapPos)
+	c.zeroSet = slices.Clone(s.zeroSet)
+	c.seen = slices.Clone(s.seen)
+	c.learnt = slices.Clone(s.learnt)
+	c.failedAssumptions = slices.Clone(s.failedAssumptions)
+	return &c
 }
 
 // NumVars returns the number of variables created.

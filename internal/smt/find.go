@@ -36,27 +36,35 @@ type QueryStats struct {
 	Solver sat.Stats `json:"solver"`
 }
 
+// Add sums another query record into q. It is the one place that
+// sums QueryStats, for a query's own record and for the records of
+// concurrent queries alike.
+func (q *QueryStats) Add(o QueryStats) {
+	q.Queries += o.Queries
+	q.TheoryIterations += o.TheoryIterations
+	q.LemmasLearned += o.LemmasLearned
+	q.BudgetExhausted += o.BudgetExhausted
+	q.Solver.Propagations += o.Solver.Propagations
+	q.Solver.Conflicts += o.Solver.Conflicts
+	q.Solver.Decisions += o.Solver.Decisions
+	q.Solver.Restarts += o.Solver.Restarts
+	q.Solver.Learned += o.Solver.Learned
+}
+
 // noteQuery folds one finished query's solver counters into the
 // instance telemetry.
 func (in *Instance) noteQuery(enc *encoding, iters, lemmas0 int, budgetStopped bool) {
-	q := in.Telemetry
-	if q == nil {
+	if in.Telemetry == nil {
 		return
 	}
-	q.Queries++
-	q.TheoryIterations += uint64(iters)
+	one := QueryStats{Queries: 1, TheoryIterations: uint64(iters), Solver: enc.s.StatsSnapshot()}
 	if n := len(in.lemmas) - lemmas0; n > 0 {
-		q.LemmasLearned += uint64(n)
+		one.LemmasLearned = uint64(n)
 	}
 	if budgetStopped {
-		q.BudgetExhausted++
+		one.BudgetExhausted = 1
 	}
-	st := enc.s.StatsSnapshot()
-	q.Solver.Propagations += st.Propagations
-	q.Solver.Conflicts += st.Conflicts
-	q.Solver.Decisions += st.Decisions
-	q.Solver.Restarts += st.Restarts
-	q.Solver.Learned += st.Learned
+	in.Telemetry.Add(one)
 }
 
 // FindMapping searches a port mapping consistent with all measured
@@ -79,7 +87,7 @@ func (in *Instance) FindMapping(exps []MeasuredExp) (*portmodel.Mapping, error) 
 // failed query's lemmas (via Without), so keeping the trail on
 // ErrNoMapping is part of the contract, not an accident.
 func (in *Instance) FindMappingBudget(ctx context.Context, exps []MeasuredExp, budget *sat.Budget) (*portmodel.Mapping, error) {
-	enc, err := in.encode(true)
+	enc, err := in.encode()
 	if err != nil {
 		return nil, err
 	}
@@ -127,12 +135,7 @@ func (in *Instance) FindMappingBudget(ctx context.Context, exps []MeasuredExp, b
 // assertLastLemma adds the most recently learned lemma to a live
 // solver, so the refinement loop does not rebuild the encoding.
 func (in *Instance) assertLastLemma(enc *encoding) error {
-	lem := in.lemmas[len(in.lemmas)-1]
-	clause := make([]sat.Lit, len(lem.lits))
-	for i, l := range lem.lits {
-		clause[i] = sat.NewLit(enc.mvar[l.uop][l.port], l.neg)
-	}
-	return enc.s.AddClause(clause...)
+	return enc.s.AddClause(in.lemmas[len(in.lemmas)-1].clause(enc)...)
 }
 
 // blockModel adds a clause excluding the exact current assignment of
@@ -192,6 +195,7 @@ func (in *Instance) FindOtherMappingBudget(ctx context.Context, exps []MeasuredE
 	mark := len(in.lemmas)
 	om, err := in.findOtherMapping(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates, budget)
 	if om == nil {
+		in.invalidateFrom(mark)
 		in.lemmas = in.lemmas[:mark]
 	}
 	return om, err
@@ -200,7 +204,7 @@ func (in *Instance) FindOtherMappingBudget(ctx context.Context, exps []MeasuredE
 // findOtherMapping is the enumeration loop behind
 // FindOtherMappingBudget, which owns the lemma-store rollback.
 func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int, budget *sat.Budget) (*OtherMapping, error) {
-	enc, err := in.encode(true)
+	enc, err := in.encode()
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +395,10 @@ func (in *Instance) LemmaCount() int { return len(in.lemmas) }
 
 // Reset drops all learned lemmas (used between independent runs on
 // the same instance shape).
-func (in *Instance) Reset() { in.lemmas = nil }
+func (in *Instance) Reset() {
+	in.invalidateFrom(0)
+	in.lemmas = nil
+}
 
 // Clone returns a copy of the instance without learned lemmas. The
 // telemetry accumulator is shared, so sub-solves on the clone count

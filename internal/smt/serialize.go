@@ -79,6 +79,7 @@ func (in *Instance) RestoreLemmas(recs []LemmaRecord) error {
 		}
 		restored = append(restored, lem)
 	}
+	in.invalidateFrom(0)
 	in.lemmas = restored
 	return nil
 }

@@ -27,6 +27,7 @@ package smt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"zenport/internal/portmodel"
@@ -71,9 +72,25 @@ type Instance struct {
 
 	// Telemetry, if non-nil, accumulates per-query solver statistics
 	// across FindMapping/FindOtherMapping calls (and the sub-instance
-	// solves derived via Clone/Without, which share the pointer). Not
-	// safe for concurrent queries.
+	// solves derived via Clone/Without, which share the pointer). A
+	// query writes it unsynchronized: queries that run concurrently
+	// each get their own QueryStats, and the owner sums them into its
+	// own with Add, in query index order.
 	Telemetry *QueryStats
+
+	// pristine caches the symmetry-broken encoding of the instance
+	// plus lemmas[:pristineLemmas]. It is never solved: encode extends
+	// it with the lemmas learned since and hands each query a clone,
+	// the same clauses in the same order as a fresh encoding. It holds
+	// only while the lemma prefix it encodes is unchanged, which
+	// DropLemmasFrom, RestoreLemmas, Reset and the FindOtherMappingBudget
+	// rollback enforce through invalidateFrom, and while Uops and
+	// NumPorts equal the shape recorded in pristineUops and
+	// pristinePorts, which encode compares.
+	pristine       *encoding
+	pristineLemmas int
+	pristineUops   []UopSpec
+	pristinePorts  int
 }
 
 // MeasuredExp is an experiment with its measured inverse throughput.
@@ -146,19 +163,45 @@ type encoding struct {
 	mvar [][]int
 }
 
-// encode builds a fresh SAT solver with the boolean structure of the
-// instance: port-membership variables, cardinality, ties, symmetry
-// breaking, and all accumulated lemmas. breakSymmetry should be false
-// when extra constraints (e.g. hard-wiring a mapping) are not
-// permutation-invariant.
-func (in *Instance) encode(breakSymmetry bool) (*encoding, error) {
-	return in.encodeWith(breakSymmetry, true)
+// encode returns a SAT solver with the symmetry-broken boolean
+// structure of the instance — port-membership variables, cardinality,
+// ties, symmetry breaking — and all accumulated lemmas. It is a clone
+// of the cached pristine encoding, which it first rebuilds when the
+// shape changed or the cache was invalidated, and extends with the
+// lemmas learned since it was last synced.
+func (in *Instance) encode() (*encoding, error) {
+	if in.pristine == nil || in.pristinePorts != in.NumPorts || !slices.Equal(in.pristineUops, in.Uops) {
+		enc, err := in.encodeWith(true, false)
+		if err != nil {
+			in.pristine, in.pristineLemmas = nil, 0
+			return nil, err
+		}
+		in.pristine, in.pristineLemmas = enc, 0
+		in.pristineUops, in.pristinePorts = slices.Clone(in.Uops), in.NumPorts
+	}
+	if err := assertLemmas(in.pristine, in.lemmas[in.pristineLemmas:]); err != nil {
+		in.pristine, in.pristineLemmas = nil, 0
+		return nil, err
+	}
+	in.pristineLemmas = len(in.lemmas)
+	return &encoding{s: in.pristine.s.Clone(), mvar: in.pristine.mvar}, nil
 }
 
-// encodeWith is encode with the lemma re-assertion made optional: the
-// UNSAT-core extractor asserts lemmas itself, each guarded by its
-// source experiment's selector variable, so it needs the bare boolean
-// structure.
+// invalidateFrom drops the pristine encoding when it holds lemma i,
+// the first lemma a caller is about to remove or replace.
+func (in *Instance) invalidateFrom(i int) {
+	if i < in.pristineLemmas {
+		in.pristine, in.pristineLemmas = nil, 0
+	}
+}
+
+// encodeWith builds a fresh SAT solver with the boolean structure of
+// the instance, and all accumulated lemmas when withLemmas is set: the
+// pristine encoding is built without them, and the UNSAT-core
+// extractor asserts lemmas itself, each guarded by its source
+// experiment's selector variable. breakSymmetry should be false when
+// extra constraints (e.g. hard-wiring a mapping) are not
+// permutation-invariant.
 func (in *Instance) encodeWith(breakSymmetry, withLemmas bool) (*encoding, error) {
 	s := sat.NewSolver()
 	nu, np := len(in.Uops), in.NumPorts
@@ -223,17 +266,31 @@ func (in *Instance) encodeWith(breakSymmetry, withLemmas bool) (*encoding, error
 	}
 	// Re-assert accumulated theory lemmas.
 	if withLemmas {
-		for _, lem := range in.lemmas {
-			clause := make([]sat.Lit, len(lem.lits))
-			for i, l := range lem.lits {
-				clause[i] = sat.NewLit(enc.mvar[l.uop][l.port], l.neg)
-			}
-			if err := s.AddClause(clause...); err != nil && err != sat.ErrTrivialUnsat {
-				return nil, err
-			}
+		if err := assertLemmas(enc, in.lemmas); err != nil {
+			return nil, err
 		}
 	}
 	return enc, nil
+}
+
+// clause builds the SAT clause of a lemma over an encoding's variables.
+func (lem lemma) clause(enc *encoding) []sat.Lit {
+	clause := make([]sat.Lit, len(lem.lits))
+	for i, l := range lem.lits {
+		clause[i] = sat.NewLit(enc.mvar[l.uop][l.port], l.neg)
+	}
+	return clause
+}
+
+// assertLemmas adds lemma clauses to an encoding in order. A lemma that
+// closes the search space is kept: the solver then answers Unsat.
+func assertLemmas(enc *encoding, lemmas []lemma) error {
+	for _, lem := range lemmas {
+		if err := enc.s.AddClause(lem.clause(enc)...); err != nil && err != sat.ErrTrivialUnsat {
+			return err
+		}
+	}
+	return nil
 }
 
 // addLexGE asserts column a ≥lex column b over the µop rows, with
@@ -438,8 +495,11 @@ func sameExp(a, b portmodel.Experiment) bool {
 func (in *Instance) DropLemmasFrom(e portmodel.Experiment) int {
 	kept := in.lemmas[:0]
 	dropped := 0
-	for _, lem := range in.lemmas {
+	for i, lem := range in.lemmas {
 		if sameExp(lem.src, e) {
+			if dropped == 0 {
+				in.invalidateFrom(i)
+			}
 			dropped++
 			continue
 		}
