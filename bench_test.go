@@ -336,6 +336,63 @@ func BenchmarkE9FindOtherToy(b *testing.B) {
 	}
 }
 
+// BenchmarkFindOtherMapping measures the uniqueness search of a
+// converged CEGAR loop over 15 single-µop keys and 10 ports, at the
+// campaign's bounds (experiments of at most 3 distinct keys and 5
+// instructions, at most 40 mappings examined): the query that ends
+// every stage-3 blocker run. The set-up runs the loop against a fixed
+// truth mapping until the search finds no distinguishable mapping.
+// Such a search rolls back the lemmas it learned, so every iteration
+// repeats the same one.
+func BenchmarkFindOtherMapping(b *testing.B) {
+	const maxDistinct, maxTotal, maxCandidates = 3, 5, 40
+	truth := zenport.NewMapping(10)
+	in := &zenport.Instance{NumPorts: 10, Epsilon: 0.02}
+	var exps []zenport.MeasuredExp
+	measure := func(e zenport.Experiment) {
+		t, err := truth.InverseThroughput(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exps = append(exps, zenport.MeasuredExp{Exp: e, TInv: t})
+	}
+	for i, ports := range [][]int{
+		{0, 1, 2, 3}, {4, 5}, {6, 7, 8, 9}, {6, 7}, {8, 9}, {6, 9}, {7, 8}, {6},
+		{7}, {8}, {9}, {1}, {2}, {0, 3}, {4},
+	} {
+		key := fmt.Sprintf("i%02d", i)
+		truth.Set(key, zenport.Usage{{Ports: zenport.MakePortSet(ports...), Count: 1}})
+		in.Uops = append(in.Uops, zenport.UopSpec{Key: key, NumPorts: len(ports)})
+		measure(zenport.Exp(key))
+	}
+	m1, err := in.FindMapping(exps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rounds := 0
+	for ; ; rounds++ {
+		other, err := in.FindOtherMapping(exps, m1, maxDistinct, maxTotal, maxCandidates)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if other == nil {
+			break
+		}
+		measure(other.Exp)
+		if m1, err = in.FindMapping(exps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if other, err := in.FindOtherMapping(exps, m1, maxDistinct, maxTotal, maxCandidates); err != nil || other != nil {
+			b.Fatalf("other=%v err=%v; want a repeated search that finds nothing", other, err)
+		}
+	}
+	b.ReportMetric(float64(rounds), "cegar-rounds")
+}
+
 // BenchmarkE11UopsInfoBaseline runs the original uops.info algorithm
 // against the Intel-like counter mode (§2.3).
 func BenchmarkE11UopsInfoBaseline(b *testing.B) {

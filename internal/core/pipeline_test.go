@@ -11,6 +11,7 @@ import (
 	"zenport/internal/engine"
 	"zenport/internal/isa"
 	"zenport/internal/portmodel"
+	"zenport/internal/sat"
 	"zenport/internal/smt"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -355,7 +356,10 @@ func anomalySubset(db *zen.DB) []isa.Scheme {
 // mapping JSON — the same artifact zeninfer -out writes — and the same
 // anomalous blockers, CEGAR rounds and solver counters. The worker
 // count sizes both the measurement pool and the stage-3 isolation
-// fan-out, which the anomaly subset reaches.
+// fan-out, which the anomaly subset reaches. The first run must also
+// match absolute pins of the stage-3 trajectory — solver counters,
+// CEGAR rounds and anomalous blockers — so a change to the search
+// shows here, not only when the campaign benchmark runs.
 func TestPipelineWorkerCountInvariance(t *testing.T) {
 	db := zen.Build()
 	workerSweep := []int{1, 0, 4, 16}
@@ -363,12 +367,20 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 		workerSweep = []int{1, 0, 4}
 	}
 	for _, tc := range []struct {
-		name    string
-		schemes []isa.Scheme
-		anomaly bool
+		name      string
+		schemes   []isa.Scheme
+		anomalous []string
+		rounds    int
+		solver    smt.QueryStats
 	}{
-		{"golden", goldenSubset(db), false},
-		{"anomaly", anomalySubset(db), true},
+		{"golden", goldenSubset(db), nil, 27, smt.QueryStats{
+			Queries: 56, TheoryIterations: 12400, LemmasLearned: 18309,
+			Solver: sat.Stats{Propagations: 15324379, Conflicts: 19482, Decisions: 500213, Restarts: 12, Learned: 19237},
+		}},
+		{"anomaly", anomalySubset(db), []string{"imul GPR[32], GPR[32]"}, 30, smt.QueryStats{
+			Queries: 88, TheoryIterations: 8629, LemmasLearned: 25960,
+			Solver: sat.Stats{Propagations: 14133595, Conflicts: 47143, Decisions: 441923, Restarts: 156, Learned: 46695},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
@@ -395,8 +407,14 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 					if rep.Supported() == 0 {
 						t.Fatal("golden run characterized nothing")
 					}
-					if (len(got.anomalous) > 0) != tc.anomaly {
-						t.Fatalf("anomalous blockers %v, want isolation run: %v", got.anomalous, tc.anomaly)
+					if !slices.Equal(got.anomalous, tc.anomalous) {
+						t.Errorf("anomalous blockers %v, want %v", got.anomalous, tc.anomalous)
+					}
+					if got.rounds != tc.rounds {
+						t.Errorf("%d CEGAR rounds, want %d", got.rounds, tc.rounds)
+					}
+					if got.solver != tc.solver {
+						t.Errorf("solver telemetry %+v, want %+v", got.solver, tc.solver)
 					}
 					continue
 				}

@@ -31,7 +31,7 @@ func TestCloneContinuesIdentically(t *testing.T) {
 			if _, done := step(s); done {
 				t.Fatal("the first step finished the search; want a search interrupted by the budget")
 			}
-			before, c := s.Clone(), s.Clone()
+			before, c := s.Clone(0), s.Clone(1000)
 			if !reflect.DeepEqual(c, s) {
 				t.Fatal("clone differs from the original")
 			}

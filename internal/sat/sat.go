@@ -46,7 +46,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Lit is a literal: a variable index with a sign. Variables are
@@ -227,9 +226,13 @@ func (s *Solver) NewVar() int {
 // assignment, decision order, search state and lifetime counters. The
 // copy continues exactly as the original would, so solving a clone of
 // an encoding follows the same trajectory as solving the encoding.
-func (s *Solver) Clone() *Solver {
+// The copy's clause arena has room for spare more literals (see
+// ArenaSize), so a copy that learns about that much does not regrow
+// it.
+func (s *Solver) Clone(spare int) *Solver {
 	c := *s
-	c.arena = slices.Clone(s.arena)
+	c.arena = make([]Lit, len(s.arena), len(s.arena)+max(spare, 0))
+	copy(c.arena, s.arena)
 	c.watches = make([][]cref, len(s.watches))
 	for i, w := range s.watches {
 		c.watches[i] = slices.Clone(w)
@@ -252,6 +255,11 @@ func (s *Solver) Clone() *Solver {
 
 // NumVars returns the number of variables created.
 func (s *Solver) NumVars() int { return s.numVars }
+
+// ArenaSize returns the length of the clause arena, in literals: every
+// clause of two or more literals, problem or learned, takes its length
+// plus one.
+func (s *Solver) ArenaSize() int { return len(s.arena) }
 
 // Stats returns (propagations, conflicts, decisions) counters.
 func (s *Solver) Stats() (uint64, uint64, uint64) {
@@ -278,7 +286,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLl) }
 func (s *Solver) AddClause(lits ...Lit) error {
 	s.backtrackTo(0)
 	// Normalize: dedupe, drop clauses with x and ¬x, drop false lits.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	slices.Sort(lits)
 	out := lits[:0]
 	for i, l := range lits {
 		if l.Var() < 1 || l.Var() > s.numVars {

@@ -84,7 +84,7 @@ func (in *Instance) UnsatCore(ctx context.Context, exps []MeasuredExp, budget *s
 // the probe run short of its final UNSAT) falls back to the full
 // index set.
 func (in *Instance) selectorCore(ctx context.Context, probe *Instance, exps []MeasuredExp, budget *sat.Budget) ([]int, error) {
-	enc, err := probe.encodeWith(true, false)
+	enc, err := probe.encodeWith()
 	if err != nil {
 		return nil, err
 	}

@@ -56,9 +56,12 @@ func TestEncodeCacheMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", step, err)
 		}
-		want, err := in.encodeWith(true, true)
+		want, err := in.encodeWith()
 		if err != nil {
 			t.Fatalf("%s: encodeWith: %v", step, err)
+		}
+		if err := assertLemmas(want, in.lemmas); err != nil {
+			t.Fatalf("%s: assertLemmas: %v", step, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: cached encoding differs from a fresh one", step)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"zenport/internal/portmodel"
@@ -215,9 +216,10 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 	var byUop []portmodel.PortSet
 	iters, lemmas0, budgetStopped := 0, len(in.lemmas), false
 	defer func() { in.noteQuery(enc, iters, lemmas0, budgetStopped) }()
-	// Pre-enumerate the candidate experiments in stratified order and
-	// evaluate m1 on each once; every examined m2 reuses them.
-	cands, err := in.candidateExps(m1, maxDistinct, maxTotal)
+	// The candidate experiments, in stratified order, are the
+	// instance's; m1's values on them are computed as the scans of the
+	// examined m2 first need them.
+	search, err := in.newCandSearch(m1, maxDistinct, maxTotal)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +254,7 @@ func (in *Instance) findOtherMapping(ctx context.Context, exps []MeasuredExp, m1
 		// skipped outright; the rest are evaluated on prop.comp, which
 		// holds m2's port sets since prop.load.
 		if !sameUsage(m1, m2) && !m1.Isomorphic(m2) {
-			if exp, t1, t2 := in.distinguishPre(m1, m2, prop.comp, cands); exp != nil {
+			if exp, t1, t2 := search.distinguish(m2, prop.comp); exp != nil {
 				return &OtherMapping{Mapping: m2, Exp: exp, T1: t1, T2: t2}, nil
 			}
 		}
@@ -278,74 +280,124 @@ func sameUsage(a, b *portmodel.Mapping) bool {
 	return true
 }
 
-// candExp is a pre-enumerated candidate experiment: its dense weight
-// vector over the instance keys, its instruction count, and its model
-// value under m1.
-type candExp struct {
-	exp   portmodel.Experiment
-	w     []int32
-	total int
-	t1    float64
+// candidates is the stratified experiment enumeration of one key set
+// (§3.3.4): every experiment over at most maxDistinct distinct keys,
+// in order of total size up to maxTotal, stored flat with no map.
+// Candidate i has the dense weight vector w[i*n:(i+1)*n] over keys —
+// the layout of every evaluator compiled over the instance keys, the
+// propagator's included — and the instruction count total[i]. It
+// depends on nothing but the keys and the bounds, so an instance
+// enumerates it once and every query over the same key set reuses it.
+type candidates struct {
+	keys                  []string
+	maxDistinct, maxTotal int
+	w                     []int32
+	total                 []int32
 }
 
-// candidateExps enumerates all experiments within the stratified
-// bounds, ordered by total size, interns each once into a weight
-// vector indexed like in.keys() — the layout of every evaluator
-// compiled over those keys, the propagator's included — and
-// annotates it with its value under m1. It fails when m1 has no usage
-// for some instance key.
-func (in *Instance) candidateExps(m1 *portmodel.Mapping, maxDistinct, maxTotal int) ([]candExp, error) {
-	keys := in.keys()
-	comp, err := portmodel.CompileMapping(m1, keys)
-	if err != nil {
-		return nil, err
-	}
-	var out []candExp
-	e := make(portmodel.Experiment)
-	w := make([]int32, len(keys))
+// enumerateCandidates lists the experiments within the bounds: by
+// total size, then lexicographically by (key index, count) pairs.
+func enumerateCandidates(keys []string, maxDistinct, maxTotal int) *candidates {
+	n := len(keys)
+	c := &candidates{keys: keys, maxDistinct: maxDistinct, maxTotal: maxTotal}
+	w := make([]int32, n)
 	total := 0
 	var rec func(start, remaining, distinct int)
 	rec = func(start, remaining, distinct int) {
 		if remaining == 0 {
-			cw := slices.Clone(w)
-			out = append(out, candExp{exp: e.Clone(), w: cw, total: total, t1: comp.InverseThroughputBoundedWeights(cw, total, in.Rmax)})
+			c.w = append(c.w, w...)
+			c.total = append(c.total, int32(total))
 			return
 		}
 		if distinct == 0 {
 			return
 		}
-		for i := start; i < len(keys); i++ {
-			for c := 1; c <= remaining; c++ {
-				e[keys[i]], w[i] = c, int32(c)
-				rec(i+1, remaining-c, distinct-1)
+		for i := start; i < n; i++ {
+			for k := 1; k <= remaining; k++ {
+				w[i] = int32(k)
+				rec(i+1, remaining-k, distinct-1)
 			}
-			delete(e, keys[i])
 			w[i] = 0
 		}
 	}
 	for total = 1; total <= maxTotal; total++ {
 		rec(0, total, maxDistinct)
 	}
-	return out, nil
+	return c
 }
 
-// distinguishPre searches the pre-enumerated experiments, in order,
-// for the first one whose values under m1 and m2 differ by more than
-// 2ε·|e|. comp2 evaluates m2 compiled over the instance keys; it is
-// the propagator's evaluator in the CEGAR loop. Experiments that
-// involve no instruction on which the two mappings differ have equal
-// values and are skipped.
-func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, comp2 *portmodel.Compiled, cands []candExp) (portmodel.Experiment, float64, float64) {
-	keys := comp2.Keys()
-	diff := make([]bool, len(keys))
-	for i, k := range keys {
-		diff[i] = !m1.Usage[k].Equal(m2.Usage[k])
+// weights returns candidate i's weight vector, aliasing the slab.
+func (c *candidates) weights(i int) []int32 {
+	n := len(c.keys)
+	return c.w[i*n : (i+1)*n : (i+1)*n]
+}
+
+// exp builds candidate i's experiment map.
+func (c *candidates) exp(i int) portmodel.Experiment {
+	e := make(portmodel.Experiment, c.maxDistinct)
+	for k, x := range c.weights(i) {
+		if x != 0 {
+			e[c.keys[k]] = int(x)
+		}
 	}
-	need := 2 * in.Epsilon
-	for _, c := range cands {
+	return e
+}
+
+// candidatesFor returns the candidate enumeration of the given keys
+// (the instance keys) within the bounds. It enumerates only when the
+// key set or the bounds differ from the previous query's.
+func (in *Instance) candidatesFor(keys []string, maxDistinct, maxTotal int) *candidates {
+	if c := in.cands; c != nil && c.maxDistinct == maxDistinct && c.maxTotal == maxTotal && slices.Equal(c.keys, keys) {
+		return c
+	}
+	in.cands = enumerateCandidates(keys, maxDistinct, maxTotal)
+	return in.cands
+}
+
+// candSearch is one query's search of the candidates for an
+// experiment that distinguishes m1 from another mapping. m1's value
+// on a candidate is computed the first time a scan reaches it with a
+// key on which the two mappings differ, and kept for the rest of the
+// query; t1 holds NaN until then.
+type candSearch struct {
+	*candidates
+	m1         *portmodel.Mapping
+	comp1      *portmodel.Compiled
+	t1         []float64
+	diff       []bool
+	rmax, need float64
+}
+
+// newCandSearch starts a search against m1. It fails when m1 has no
+// usage for some instance key.
+func (in *Instance) newCandSearch(m1 *portmodel.Mapping, maxDistinct, maxTotal int) (*candSearch, error) {
+	keys := in.keys()
+	comp1, err := portmodel.CompileMapping(m1, keys)
+	if err != nil {
+		return nil, err
+	}
+	c := in.candidatesFor(keys, maxDistinct, maxTotal)
+	t1 := make([]float64, len(c.total))
+	for i := range t1 {
+		t1[i] = math.NaN()
+	}
+	return &candSearch{candidates: c, m1: m1, comp1: comp1, t1: t1, diff: make([]bool, len(keys)), rmax: in.Rmax, need: 2 * in.Epsilon}, nil
+}
+
+// distinguish returns the first candidate, in order, whose values
+// under m1 and m2 differ by more than 2ε·|e|. comp2 evaluates m2
+// compiled over the instance keys; it is the propagator's evaluator in
+// the CEGAR loop. Candidates that involve no key on which the two
+// mappings differ have equal values and are skipped.
+func (s *candSearch) distinguish(m2 *portmodel.Mapping, comp2 *portmodel.Compiled) (portmodel.Experiment, float64, float64) {
+	for i, k := range s.keys {
+		s.diff[i] = !s.m1.Usage[k].Equal(m2.Usage[k])
+	}
+	for i := range s.total {
+		w, total := s.weights(i), int(s.total[i])
 		touches := false
-		for i, n := range c.w {
-			if n != 0 && diff[i] {
+		for k, x := range w {
+			if x != 0 && s.diff[k] {
 				touches = true
 				break
 			}
@@ -353,9 +405,14 @@ func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, comp2 *portmodel.C
 		if !touches {
 			continue
 		}
-		t2 := comp2.InverseThroughputBoundedWeights(c.w, c.total, in.Rmax)
-		if abs(c.t1-t2) > need*float64(c.total) {
-			return c.exp.Clone(), c.t1, t2
+		t1 := s.t1[i]
+		if math.IsNaN(t1) {
+			t1 = s.comp1.InverseThroughputBoundedWeights(w, total, s.rmax)
+			s.t1[i] = t1
+		}
+		t2 := comp2.InverseThroughputBoundedWeights(w, total, s.rmax)
+		if abs(t1-t2) > s.need*float64(total) {
+			return s.exp(i), t1, t2
 		}
 	}
 	return nil, 0, 0
@@ -367,15 +424,15 @@ func (in *Instance) distinguishPre(m1, m2 *portmodel.Mapping, comp2 *portmodel.C
 // the search findOtherMapping runs, over the same enumeration and
 // evaluator.
 func (in *Instance) distinguish(m1, m2 *portmodel.Mapping, maxDistinct, maxTotal int) (portmodel.Experiment, float64, float64, error) {
-	cands, err := in.candidateExps(m1, maxDistinct, maxTotal)
+	s, err := in.newCandSearch(m1, maxDistinct, maxTotal)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	comp2, err := portmodel.CompileMapping(m2, in.keys())
+	comp2, err := portmodel.CompileMapping(m2, s.keys)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	e, t1, t2 := in.distinguishPre(m1, m2, comp2, cands)
+	e, t1, t2 := s.distinguish(m2, comp2)
 	return e, t1, t2, nil
 }
 
@@ -413,18 +470,24 @@ func (in *Instance) Clone() *Instance {
 // keys removed (used for §4.3 culprit isolation after UNSAT). Learned
 // lemmas survive when their source experiment avoids the removed keys
 // (their µop indices are remapped), so repeated sub-problem solves
-// stay cheap.
+// stay cheap. The kept lemmas' literals share one slab.
 func (in *Instance) Without(keys map[string]bool) *Instance {
 	out := &Instance{NumPorts: in.NumPorts, Rmax: in.Rmax, Epsilon: in.Epsilon, Telemetry: in.Telemetry}
-	remap := make([]int, len(in.Uops))
+	remap := make([]int32, len(in.Uops))
 	for i, u := range in.Uops {
 		if keys[u.Key] {
 			remap[i] = -1
 			continue
 		}
-		remap[i] = len(out.Uops)
+		remap[i] = int32(len(out.Uops))
 		out.Uops = append(out.Uops, u)
 	}
+	n := 0
+	for _, lem := range in.lemmas {
+		n += len(lem.lits)
+	}
+	slab := make([]lemmaLit, 0, n)
+	out.lemmas = make([]lemma, 0, len(in.lemmas))
 	for _, lem := range in.lemmas {
 		keep := true
 		for k := range lem.src {
@@ -436,18 +499,19 @@ func (in *Instance) Without(keys map[string]bool) *Instance {
 		if !keep {
 			continue
 		}
-		nl := lemma{src: lem.src, slack: lem.slack}
-		ok := true
+		start := len(slab)
 		for _, l := range lem.lits {
 			if remap[l.uop] < 0 {
-				ok = false
+				keep = false
 				break
 			}
-			nl.lits = append(nl.lits, lemmaLit{uop: remap[l.uop], port: l.port, neg: l.neg})
+			slab = append(slab, lemmaLit{uop: remap[l.uop], port: l.port, neg: l.neg})
 		}
-		if ok {
-			out.lemmas = append(out.lemmas, nl)
+		if !keep {
+			slab = slab[:start]
+			continue
 		}
+		out.lemmas = append(out.lemmas, lemma{lits: slab[start:len(slab):len(slab)], src: lem.src, slack: lem.slack})
 	}
 	return out
 }

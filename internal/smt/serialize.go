@@ -37,7 +37,7 @@ func (in *Instance) LemmaRecords() []LemmaRecord {
 	for i, lem := range in.lemmas {
 		lits := make([]LemmaLitRecord, len(lem.lits))
 		for j, l := range lem.lits {
-			lits[j] = LemmaLitRecord{Uop: l.uop, Port: l.port, Neg: l.neg}
+			lits[j] = LemmaLitRecord{Uop: int(l.uop), Port: int(l.port), Neg: l.neg}
 		}
 		out[i] = LemmaRecord{Lits: lits, Src: lem.src.Clone(), Slack: lem.slack}
 	}
@@ -63,7 +63,7 @@ func (in *Instance) lemmaFromRecord(i int, rec LemmaRecord) (lemma, error) {
 		if l.Port < 0 || l.Port >= in.NumPorts {
 			return lemma{}, fmt.Errorf("smt: lemma %d: port %d out of range [0,%d)", i, l.Port, in.NumPorts)
 		}
-		lits[j] = lemmaLit{uop: l.Uop, port: l.Port, neg: l.Neg}
+		lits[j] = lemmaLit{uop: int32(l.Uop), port: int32(l.Port), neg: l.Neg}
 	}
 	return lemma{lits: lits, src: rec.Src.Clone(), slack: rec.Slack}, nil
 }

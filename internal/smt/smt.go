@@ -91,6 +91,11 @@ type Instance struct {
 	pristineLemmas int
 	pristineUops   []UopSpec
 	pristinePorts  int
+
+	// cands caches the distinguishing-experiment candidates of the
+	// last FindOtherMapping query; the next query reuses them when its
+	// key set and bounds are the same.
+	cands *candidates
 }
 
 // MeasuredExp is an experiment with its measured inverse throughput.
@@ -109,8 +114,8 @@ type MeasuredExp struct {
 
 // lemmaLit is a solver-independent literal: µop index, port, sign.
 type lemmaLit struct {
-	uop  int
-	port int
+	uop  int32
+	port int32
 	neg  bool
 }
 
@@ -168,10 +173,12 @@ type encoding struct {
 // ties, symmetry breaking — and all accumulated lemmas. It is a clone
 // of the cached pristine encoding, which it first rebuilds when the
 // shape changed or the cache was invalidated, and extends with the
-// lemmas learned since it was last synced.
+// lemmas learned since it was last synced. The clone's arena has room
+// to grow by an eighth, which holds what four in five of a campaign's
+// queries learn, so their searches do not regrow it.
 func (in *Instance) encode() (*encoding, error) {
 	if in.pristine == nil || in.pristinePorts != in.NumPorts || !slices.Equal(in.pristineUops, in.Uops) {
-		enc, err := in.encodeWith(true, false)
+		enc, err := in.encodeWith()
 		if err != nil {
 			in.pristine, in.pristineLemmas = nil, 0
 			return nil, err
@@ -184,7 +191,7 @@ func (in *Instance) encode() (*encoding, error) {
 		return nil, err
 	}
 	in.pristineLemmas = len(in.lemmas)
-	return &encoding{s: in.pristine.s.Clone(), mvar: in.pristine.mvar}, nil
+	return &encoding{s: in.pristine.s.Clone(in.pristine.s.ArenaSize() / 8), mvar: in.pristine.mvar}, nil
 }
 
 // invalidateFrom drops the pristine encoding when it holds lemma i,
@@ -195,14 +202,12 @@ func (in *Instance) invalidateFrom(i int) {
 	}
 }
 
-// encodeWith builds a fresh SAT solver with the boolean structure of
-// the instance, and all accumulated lemmas when withLemmas is set: the
-// pristine encoding is built without them, and the UNSAT-core
-// extractor asserts lemmas itself, each guarded by its source
-// experiment's selector variable. breakSymmetry should be false when
-// extra constraints (e.g. hard-wiring a mapping) are not
-// permutation-invariant.
-func (in *Instance) encodeWith(breakSymmetry, withLemmas bool) (*encoding, error) {
+// encodeWith builds a fresh SAT solver with the symmetry-broken
+// boolean structure of the instance and no lemmas: encode extends it
+// with the accumulated lemmas, and the UNSAT-core extractor asserts
+// them itself, each guarded by its source experiment's selector
+// variable.
+func (in *Instance) encodeWith() (*encoding, error) {
 	s := sat.NewSolver()
 	nu, np := len(in.Uops), in.NumPorts
 	enc := &encoding{s: s, mvar: make([][]int, nu)}
@@ -257,16 +262,8 @@ func (in *Instance) encodeWith(breakSymmetry, withLemmas bool) (*encoding, error
 	}
 	// Lex symmetry breaking over adjacent port columns: ports are
 	// interchangeable a priori, so require column k ≥lex column k+1.
-	if breakSymmetry {
-		for k := 0; k+1 < np; k++ {
-			if err := in.addLexGE(enc, k, k+1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Re-assert accumulated theory lemmas.
-	if withLemmas {
-		if err := assertLemmas(enc, in.lemmas); err != nil {
+	for k := 0; k+1 < np; k++ {
+		if err := in.addLexGE(enc, k, k+1); err != nil {
 			return nil, err
 		}
 	}
@@ -440,7 +437,7 @@ func (in *Instance) addTooSlowLemma(q portmodel.PortSet, byUop []portmodel.PortS
 		}
 		for k := 0; k < in.NumPorts; k++ {
 			if !q.Has(k) {
-				lem = append(lem, lemmaLit{uop: ui, port: k, neg: false})
+				lem = append(lem, lemmaLit{uop: int32(ui), port: int32(k), neg: false})
 			}
 		}
 	}
@@ -464,7 +461,7 @@ func (in *Instance) addTooFastLemma(byUop []portmodel.PortSet, e portmodel.Exper
 		}
 		for k := 0; k < in.NumPorts; k++ {
 			if byUop[ui].Has(k) {
-				lem = append(lem, lemmaLit{uop: ui, port: k, neg: true})
+				lem = append(lem, lemmaLit{uop: int32(ui), port: int32(k), neg: true})
 			}
 		}
 	}
