@@ -95,7 +95,7 @@ bench-smoke:
 # tp⁻¹ and IPC at a fuzzed rmax, the count range error), the mapping
 # JSON decoder (no panic; accepted mappings validate, round-trip and
 # compile to the reference), the simplex LP oracle
-# against the bottleneck-set evaluator, checkpoint lemma restoring,
+# against the bottleneck-set evaluator,
 # the CDCL solver against brute-force enumeration, the serving
 # request decoder (no panic, no 5xx, every 200 equal to the compiled
 # evaluator), the persist journal decoder (no panic, keyed records,
@@ -111,7 +111,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 20s ./internal/portmodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzMappingUnmarshalJSON$$' -fuzztime 20s ./internal/portmodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzLPMatchesReference$$' -fuzztime 20s ./internal/lp/
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLemmas$$' -fuzztime 20s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveAgainstBruteForce$$' -fuzztime 20s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 20s ./internal/persist/

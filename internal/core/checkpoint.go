@@ -4,28 +4,28 @@ import (
 	"fmt"
 
 	"zenport/internal/portmodel"
-	"zenport/internal/smt"
 )
 
-// Stage checkpointing: with Options.Checkpointer configured, the
-// pipeline persists the full report after every completed stage
-// ("stage1".."stage3", "final") and the per-scheme votes after every
-// completed stage-4 characterization run ("stage4-run0"..). With
-// Options.Resume additionally set, RunContext restores the latest
-// completed stage instead of re-running it; stage 4 skips completed
-// runs. Combined with the engine's persisted measurement cache this
+// Checkpointing: with Options.Checkpointer configured, the pipeline
+// keeps one checkpoint document, rewritten after every completed stage
+// and every completed stage-4 characterization run: the report so far
+// plus the stage-4 votes so far. With Options.Resume additionally
+// set, RunContext loads it and continues after the last completed
+// step. Combined with the engine's persisted measurement cache this
 // makes an interrupted run resumable with byte-identical output: the
 // re-executed suffix of the pipeline reads the same measurements the
 // interrupted run produced.
 
-// stageCheckpoint is the payload persisted after a completed pipeline
-// stage: the whole report so far, plus (after stage 3) the solver's
-// learned theory lemmas, which record *why* the blocker mapping was
-// accepted and are validated against the rebuilt solver instance on
-// resume.
-type stageCheckpoint struct {
-	Report *Report           `json:"report"`
-	Lemmas []smt.LemmaRecord `json:"lemmas,omitempty"`
+// checkpoint is the checkpoint document.
+type checkpoint struct {
+	// Stage is the last completed stage, 1–4.
+	Stage int `json:"stage"`
+	// Options is the writing run's Options.answerKey.
+	Options string  `json:"options"`
+	Report  *Report `json:"report"`
+	// Votes holds the completed runs of an unfinished stage 4, one map
+	// per run. Run 0's witnesses are in Report.CharWitnesses.
+	Votes []map[string]charRunRecord `json:"votes,omitempty"`
 }
 
 // charRunRecord is one stage-4 characterization run's vote for one
@@ -35,38 +35,38 @@ type charRunRecord struct {
 	OK    bool                      `json:"ok"`
 }
 
-// stage4RunCheckpoint is the payload persisted after each completed
-// stage-4 run: the per-scheme votes, and (run 0 only) the witness
-// experiments.
-type stage4RunCheckpoint struct {
-	Results   map[string]charRunRecord `json:"results"`
-	Witnesses map[string][]Witness     `json:"witnesses,omitempty"`
-}
-
-// saveStage checkpoints the report after the named stage when a
+// save replaces the checkpoint after the given stage when a
 // checkpointer is configured. Failures are hard errors: a run that
 // silently stops persisting progress would later resume wrongly.
-func (p *Pipeline) saveStage(name string, rep *Report, lemmas []smt.LemmaRecord) error {
+func (p *Pipeline) save(stage int, rep *Report, votes []map[string]charRunRecord) error {
 	if p.Opts.Checkpointer == nil {
 		return nil
 	}
-	if err := p.Opts.Checkpointer.Save(name, &stageCheckpoint{Report: rep, Lemmas: lemmas}); err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", name, err)
+	ck := checkpoint{Stage: stage, Options: p.Opts.answerKey(), Report: rep, Votes: votes}
+	if err := p.Opts.Checkpointer.Save(&ck); err != nil {
+		return fmt.Errorf("core: checkpoint after stage %d: %w", stage, err)
 	}
 	return nil
 }
 
-// loadStage restores the report from the named stage checkpoint. It
-// returns restored=false when the checkpoint does not exist; a
-// corrupt or stale checkpoint is an error.
-func (p *Pipeline) loadStage(name string, rep *Report) (bool, []smt.LemmaRecord, error) {
-	var ck stageCheckpoint
-	ok, err := p.Opts.Checkpointer.Load(name, &ck)
+// restore loads the checkpoint into rep. It returns the last completed
+// stage and the votes of an unfinished stage 4. Stage 0 means the run
+// starts over on its journaled measurements: there is no checkpoint,
+// or it was written under other options. Either way the directory is
+// cleared, which also removes the per-stage files older builds wrote.
+// A corrupt or stale checkpoint is an error.
+func (p *Pipeline) restore(rep *Report) (int, []map[string]charRunRecord, error) {
+	var ck checkpoint
+	ok, err := p.Opts.Checkpointer.Load(&ck)
 	if err != nil {
-		return false, nil, fmt.Errorf("core: checkpoint %s: %w", name, err)
+		return 0, nil, fmt.Errorf("core: %w", err)
 	}
 	if !ok || ck.Report == nil {
-		return false, nil, nil
+		return 0, nil, p.Opts.Checkpointer.Clear()
+	}
+	if key := p.Opts.answerKey(); ck.Options != key {
+		p.logf("resume: checkpoint options %q differ from %q; starting over at stage 1", ck.Options, key)
+		return 0, nil, p.Opts.Checkpointer.Clear()
 	}
 	*rep = *ck.Report
 	// Empty maps round-trip through JSON as nil; the stages index into
@@ -83,97 +83,31 @@ func (p *Pipeline) loadStage(name string, rep *Report) (bool, []smt.LemmaRecord,
 	if rep.CharWitnesses == nil {
 		rep.CharWitnesses = make(map[string][]Witness)
 	}
-	return true, ck.Lemmas, nil
+	return ck.Stage, ck.Votes, nil
 }
 
-// saveStage4Run checkpoints one completed stage-4 run's votes (run 0
-// also carries the witnesses).
-func (p *Pipeline) saveStage4Run(name string, r int, todo []string, results map[string][]runResult, rep *Report) error {
-	if p.Opts.Checkpointer == nil {
-		return nil
-	}
-	ck := stage4RunCheckpoint{Results: make(map[string]charRunRecord, len(todo))}
+// runVotes records run r's vote for every scheme of todo.
+func runVotes(r int, todo []string, results map[string][]runResult) map[string]charRunRecord {
+	votes := make(map[string]charRunRecord, len(todo))
 	for _, key := range todo {
 		rr := results[key][r]
-		ck.Results[key] = charRunRecord{Found: rr.found, OK: rr.ok}
+		votes[key] = charRunRecord{Found: rr.found, OK: rr.ok}
 	}
-	if r == 0 {
-		ck.Witnesses = rep.CharWitnesses
-	}
-	if err := p.Opts.Checkpointer.Save(name, &ck); err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", name, err)
-	}
-	return nil
+	return votes
 }
 
-// restoreStage4Run appends the checkpointed votes of one stage-4 run.
-// A missing checkpoint, or one not covering every scheme to
-// characterize, returns false and the run re-executes (its
-// measurements are still answered from the persisted cache); a
-// corrupt or stale checkpoint is an error.
-func (p *Pipeline) restoreStage4Run(name string, r int, todo []string, results map[string][]runResult, rep *Report) (bool, error) {
-	if p.Opts.Checkpointer == nil {
-		return false, nil
-	}
-	var ck stage4RunCheckpoint
-	ok, err := p.Opts.Checkpointer.Load(name, &ck)
-	if err != nil {
-		return false, fmt.Errorf("core: checkpoint %s: %w", name, err)
-	}
-	if !ok {
-		return false, nil
-	}
+// restoreRun appends a checkpointed run's votes to results. A run that
+// does not cover every scheme of todo is not restored and returns
+// false: it re-executes, answered from the persisted cache.
+func restoreRun(votes map[string]charRunRecord, todo []string, results map[string][]runResult) bool {
 	for _, key := range todo {
-		if _, exists := ck.Results[key]; !exists {
-			return false, nil
+		if _, ok := votes[key]; !ok {
+			return false
 		}
 	}
 	for _, key := range todo {
-		rr := ck.Results[key]
+		rr := votes[key]
 		results[key] = append(results[key], runResult{found: rr.Found, ok: rr.OK})
 	}
-	if r == 0 {
-		for key, w := range ck.Witnesses {
-			rep.CharWitnesses[key] = w
-		}
-	}
-	return true, nil
-}
-
-// restoreLatest finds the most advanced stage checkpoint and restores
-// the report from it. It returns the first stage that still has to
-// run (1 when nothing was restored, 5 when the final report was).
-func (p *Pipeline) restoreLatest(rep *Report) (int, error) {
-	order := []struct {
-		name string
-		next int
-	}{
-		{"final", 5},
-		{"stage3", 4},
-		{"stage2", 3},
-		{"stage1", 2},
-	}
-	for _, o := range order {
-		ok, lemmas, err := p.loadStage(o.name, rep)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			continue
-		}
-		if o.name == "stage3" {
-			// Validate the checkpointed lemmas against the rebuilt
-			// solver instance: out-of-range µop or port indices mean
-			// the checkpoint does not belong to this configuration.
-			inst, err := p.buildSMTInstance(rep)
-			if err != nil {
-				return 0, fmt.Errorf("core: checkpoint %s: %w", o.name, err)
-			}
-			if err := inst.RestoreLemmas(lemmas); err != nil {
-				return 0, fmt.Errorf("core: checkpoint %s: %w", o.name, err)
-			}
-		}
-		return o.next, nil
-	}
-	return 1, nil
+	return true
 }

@@ -260,11 +260,11 @@ type Options struct {
 	// recovery, preserving the §4.3 anomaly-isolation behavior
 	// exactly.
 	MaxSlack float64
-	// Checkpointer, if non-nil, persists each completed stage's
-	// outcome (and each completed stage-4 run's votes) so an
+	// Checkpointer, if non-nil, persists the pipeline's progress after
+	// each completed stage and each completed stage-4 run, so an
 	// interrupted run can be resumed.
 	Checkpointer *persist.Checkpointer
-	// Resume restores completed stages from checkpoints instead of
+	// Resume restores completed stages from the checkpoint instead of
 	// re-running them. Without it, existing checkpoints are cleared at
 	// the start of the run.
 	Resume bool
@@ -291,15 +291,23 @@ func DefaultOptions() Options {
 	return Options{Epsilon: 0.02}
 }
 
+// answerKey renders the options that change the pipeline's answer as
+// one canonical string: ε, read from stage 1 on, and the solver budget
+// and MaxSlack of stage 3. The checkpoint stores it, and a resume
+// under a different key starts over. The other fields are
+// answer-neutral; TestOptionsAnswerKeyCoversEveryField keeps the two
+// lists complete.
+func (o Options) answerKey() string {
+	b := o.SolverBudget
+	return fmt.Sprintf("epsilon=%v max-slack=%v budget=%d/%d/%d deadline=%t",
+		o.Epsilon, o.MaxSlack, b.MaxConflicts, b.MaxPropagations, b.MaxDecisions, !b.Deadline.IsZero())
+}
+
 // Pipeline runs the inference.
 type Pipeline struct {
 	H       *engine.Engine
 	Schemes []isa.Scheme
 	Opts    Options
-
-	// lemmaRecords are the solver lemmas exported by stage 3, saved
-	// into its checkpoint.
-	lemmaRecords []smt.LemmaRecord
 }
 
 // NewPipeline builds a pipeline measuring through h over a scheme
@@ -322,8 +330,8 @@ func (p *Pipeline) Run() (*Report, error) {
 // RunContext executes all four stages, submitting measurements in
 // batches to the harness's engine and stopping early (with an error
 // wrapping ctx.Err()) when ctx is cancelled. With a checkpointer
-// configured, each completed stage is persisted; with Resume set, the
-// run restarts from the last completed stage instead of stage 1.
+// configured, each completed stage is checkpointed; with Resume set,
+// the run restarts after the last completed step instead of stage 1.
 func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 	rep := &Report{
 		InitialSchemes: len(p.Schemes),
@@ -333,16 +341,17 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 		CharWitnesses:  make(map[string][]Witness),
 	}
 	start := 1
+	var votes []map[string]charRunRecord
 	if p.Opts.Checkpointer != nil {
 		if p.Opts.Resume {
-			var err error
-			start, err = p.restoreLatest(rep)
+			done, v, err := p.restore(rep)
 			if err != nil {
 				return nil, err
 			}
-			if start > 1 {
-				p.logf("resume: restored pipeline state through stage %d", start-1)
+			if done > 0 {
+				p.logf("resume: restored pipeline state through stage %d", done)
 			}
+			start, votes = done+1, v
 		} else if err := p.Opts.Checkpointer.Clear(); err != nil {
 			return nil, fmt.Errorf("core: clearing stale checkpoints: %w", err)
 		}
@@ -353,7 +362,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 		}
 		p.logf("stage 1: %d schemes measured, %d candidates, %d excluded",
 			len(rep.Info), rep.Candidates, len(rep.Excluded))
-		if err := p.saveStage("stage1", rep, nil); err != nil {
+		if err := p.save(1, rep, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -362,7 +371,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 			return nil, fmt.Errorf("core: stage 2: %w", err)
 		}
 		p.logf("stage 2: %d blocking classes from %d candidates", len(rep.Classes), rep.CandidatesFiltered)
-		if err := p.saveStage("stage2", rep, nil); err != nil {
+		if err := p.save(2, rep, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -372,18 +381,18 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 		}
 		p.logf("stage 3: blocker mapping over %d instructions after %d rounds (%d anomalous excluded)",
 			len(rep.BlockerMapping.Usage), rep.CEGARRounds, len(rep.AnomalousBlockers))
-		if err := p.saveStage("stage3", rep, p.lemmaRecords); err != nil {
+		if err := p.save(3, rep, nil); err != nil {
 			return nil, err
 		}
 	}
 	if start <= 4 {
-		if err := p.stage4(ctx, rep); err != nil {
+		if err := p.stage4(ctx, rep, votes); err != nil {
 			return nil, fmt.Errorf("core: stage 4: %w", err)
 		}
 		p.logf("stage 4: %d schemes characterized, %d spurious, final mapping covers %d schemes",
 			len(rep.Characterized), len(rep.Spurious), rep.Supported())
 		p.fillDegraded(rep)
-		if err := p.saveStage("final", rep, nil); err != nil {
+		if err := p.save(4, rep, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -395,7 +404,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Report, error) {
 			return nil, fmt.Errorf("core: retrying unresolved schemes: %w", err)
 		}
 		p.fillDegraded(rep)
-		if err := p.saveStage("final", rep, nil); err != nil {
+		if err := p.save(4, rep, nil); err != nil {
 			return nil, err
 		}
 	}

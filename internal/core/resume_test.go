@@ -1,15 +1,21 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"zenport/internal/engine"
 	"zenport/internal/isa"
 	"zenport/internal/persist"
+	"zenport/internal/portmodel"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
 )
@@ -35,6 +41,23 @@ func (cp *crashProc) Execute(kernel []string, iterations int) (engine.Counters, 
 	return cp.Machine.Execute(kernel, iterations)
 }
 
+const resumeFP = "resume-test seed=42 noise=0.001"
+
+// loadCheckpoint reads the checkpoint in dir; its Stage is 0 when
+// there is none.
+func loadCheckpoint(t *testing.T, dir string) checkpoint {
+	t.Helper()
+	ck, err := persist.NewCheckpointer(dir, resumeFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc checkpoint
+	if _, err := ck.Load(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 // newPersistedPipeline builds a pipeline over a fresh machine with a
 // crash-safe store and checkpointer rooted at dir, as zeninfer
 // -cache-dir does. limit bounds the number of successful processor
@@ -46,8 +69,7 @@ func newPersistedPipeline(t *testing.T, dir string, schemes []isa.Scheme, worker
 	proc := &crashProc{Machine: m, limit: limit}
 	h := engine.New(proc)
 	h.Workers = workers
-	const fp = "resume-test seed=42 noise=0.001"
-	store, err := persist.Open(dir, fp)
+	store, err := persist.Open(dir, resumeFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +78,7 @@ func newPersistedPipeline(t *testing.T, dir string, schemes []isa.Scheme, worker
 	if err := store.Attach(h); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := persist.NewCheckpointer(dir, fp)
+	ck, err := persist.NewCheckpointer(dir, resumeFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +137,8 @@ func TestPipelineKillAndResume(t *testing.T) {
 		}
 		// The kill must have landed mid-stage-4: stage 3 completed and
 		// checkpointed, the final report did not.
-		ck, err := persist.NewCheckpointer(dir, "resume-test seed=42 noise=0.001")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var probe stageCheckpoint
-		if ok, err := ck.Load("stage3", &probe); err != nil || !ok {
-			t.Fatalf("workers=%d: stage3 checkpoint after crash: ok=%v err=%v — crash landed before stage 4", workers, ok, err)
-		}
-		if ok, _ := ck.Load("final", &probe); ok {
-			t.Fatalf("workers=%d: final checkpoint exists — crash landed after stage 4", workers)
+		if got := loadCheckpoint(t, dir).Stage; got != 3 {
+			t.Fatalf("workers=%d: checkpoint after crash is at stage %d, want 3 — crash did not land in stage 4", workers, got)
 		}
 
 		resumed, _ := newPersistedPipeline(t, dir, schemes, workers, math.MaxInt64, true)
@@ -172,6 +186,9 @@ func TestPipelineResumeAfterEarlyCrash(t *testing.T) {
 	if _, err := crashed.Run(); !errors.Is(err, errCrashed) {
 		t.Fatalf("interrupted run: err = %v, want simulated crash", err)
 	}
+	if got := loadCheckpoint(t, dir).Stage; got >= 3 {
+		t.Fatalf("checkpoint after crash is at stage %d — crash did not land before stage 3", got)
+	}
 	resumed, _ := newPersistedPipeline(t, dir, schemes, 4, math.MaxInt64, true)
 	rep, err := resumed.Run()
 	if err != nil {
@@ -204,6 +221,10 @@ func TestPipelineResumeCompletedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if got := loadCheckpoint(t, dir).Stage; got != 4 {
+		t.Fatalf("checkpoint of a finished run is at stage %d, want 4", got)
+	}
+
 	again, proc := newPersistedPipeline(t, dir, schemes, 4, math.MaxInt64, true)
 	rep, err := again.Run()
 	if err != nil {
@@ -218,5 +239,113 @@ func TestPipelineResumeCompletedRun(t *testing.T) {
 	}
 	if string(data) != string(golden) {
 		t.Fatal("restored mapping JSON differs from the original run")
+	}
+}
+
+// TestPipelineResumeUnderOtherOptions: a checkpoint written under
+// options that change the answer is not resumed from. A MaxSlack 0.5
+// run killed after stage 3, resumed with MaxSlack 0, recomputes
+// stages 1–3 on the journaled measurements instead of loading the old
+// blocker mapping, and finishes with a checkpoint under the new
+// options.
+func TestPipelineResumeUnderOtherOptions(t *testing.T) {
+	db := zen.Build()
+	schemes := goldenSubset(db)
+	dir := t.TempDir()
+
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	first, _ := newPersistedPipeline(t, dir, schemes, 4, math.MaxInt64, false)
+	first.Opts.MaxSlack = 0.5
+	first.Opts.Log = func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.HasPrefix(format, "stage 3: blocker mapping") {
+			kill()
+		}
+	}
+	if _, err := first.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: err = %v, want context canceled", err)
+	}
+	if got := loadCheckpoint(t, dir).Stage; got != 3 {
+		t.Fatalf("checkpoint after the kill is at stage %d, want 3", got)
+	}
+
+	resumed, proc := newPersistedPipeline(t, dir, schemes, 4, math.MaxInt64, true)
+	var lines []string
+	stage3Calls := int64(-1)
+	resumed.Opts.Log = func(format string, args ...any) {
+		t.Logf(format, args...)
+		lines = append(lines, format)
+		if strings.HasPrefix(format, "stage 3: blocker mapping") {
+			stage3Calls = proc.calls.Load()
+		}
+	}
+	if _, err := resumed.Run(); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, "resume: checkpoint options") }) {
+		t.Error("the options change was not logged")
+	}
+	if slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, "resume: restored") }) {
+		t.Error("the resumed run restored a checkpoint written under other options")
+	}
+	if stage3Calls < 0 {
+		t.Fatal("stage 3 did not run again")
+	}
+	if stage3Calls != 0 {
+		t.Errorf("stages 1–3 executed %d kernels; their measurements are journaled", stage3Calls)
+	}
+	if doc := loadCheckpoint(t, dir); doc.Stage != 4 || doc.Options != resumed.Opts.answerKey() {
+		t.Errorf("final checkpoint at stage %d under %q, want stage 4 under %q", doc.Stage, doc.Options, resumed.Opts.answerKey())
+	}
+}
+
+// TestPipelineResumeIgnoresLegacyCheckpoints: the per-stage files
+// older builds wrote are not read. A resume over a directory holding
+// only those — here doctored to claim a finished run with an empty
+// mapping — runs the pipeline, writes the uninterrupted run's mapping
+// bytes, and leaves only its own checkpoint behind.
+func TestPipelineResumeIgnoresLegacyCheckpoints(t *testing.T) {
+	db := zen.Build()
+	schemes := goldenSubset(db)
+
+	ref, _ := newZenPipeline(t, schemes, 42)
+	refRep, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := json.Marshal(refRep.Final)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := map[string]any{"report": &Report{InitialSchemes: len(schemes), Final: portmodel.NewMapping(10)}}
+	for _, name := range []string{"stage1", "stage2", "stage3", "stage4-run0", "final"} {
+		if err := persist.WriteDocument(filepath.Join(dir, "checkpoints", name+".ckpt.json"), resumeFP, legacy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resumed, _ := newPersistedPipeline(t, dir, schemes, 4, math.MaxInt64, true)
+	rep, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rep.Final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(golden) {
+		t.Fatal("a resume over legacy checkpoint files changed the mapping")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "checkpoints", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || filepath.Base(left[0]) != "pipeline.ckpt.json" {
+		t.Errorf("checkpoint directory holds %v, want only pipeline.ckpt.json", left)
 	}
 }

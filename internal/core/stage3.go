@@ -88,7 +88,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 			// unique within bounds; accept it and say so.
 			rep.Supervision.BudgetStops++
 			p.logf("stage 3: solver budget exhausted during uniqueness search after %d rounds; accepting current mapping", round)
-			p.finishStage3(rep, inst, m1)
+			p.finishStage3(rep, m1)
 			rep.CEGARRounds = round
 			return nil
 		}
@@ -96,7 +96,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 			return err
 		}
 		if other == nil {
-			p.finishStage3(rep, inst, m1)
+			p.finishStage3(rep, m1)
 			rep.CEGARRounds = round
 			return nil
 		}
@@ -126,7 +126,7 @@ func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	p.finishStage3(rep, inst, m1)
+	p.finishStage3(rep, m1)
 	rep.CEGARRounds = maxCEGARRounds
 	return nil
 }
@@ -210,7 +210,7 @@ func (p *Pipeline) degradeStage3(rep *Report, inst *smt.Instance, lastGood *port
 	rep.CEGARRounds = round
 	if lastGood != nil {
 		p.logf("stage 3: solver budget exhausted after %d rounds; degrading to last consistent mapping", round)
-		p.finishStage3(rep, inst, lastGood)
+		p.finishStage3(rep, lastGood)
 		return nil
 	}
 	p.logf("stage 3: solver budget exhausted before any consistent mapping; all %d blockers unresolved", len(inst.SortedKeys()))
@@ -218,14 +218,13 @@ func (p *Pipeline) degradeStage3(rep *Report, inst *smt.Instance, lastGood *port
 		rep.Unresolved = appendUnique(rep.Unresolved, k)
 	}
 	sort.Strings(rep.Unresolved)
-	p.finishStage3(rep, inst, portmodel.NewMapping(p.H.P.NumPorts()))
+	p.finishStage3(rep, portmodel.NewMapping(p.H.P.NumPorts()))
 	return nil
 }
 
 // buildSMTInstance assembles the CEGAR solver instance over the
 // blocking classes plus the manually added improper blockers (§4.3,
-// "We augment the SMT formulas such that..."). It is also rebuilt on
-// resume to validate checkpointed lemmas against the instance shape.
+// "We augment the SMT formulas such that...").
 func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 	inst := &smt.Instance{
 		NumPorts: p.H.P.NumPorts(),
@@ -250,12 +249,10 @@ func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 	return inst, nil
 }
 
-// finishStage3 stores the blocker mapping, back-fills the inferred
-// port sets into the blocking classes, and exports the solver's
-// learned lemmas for the stage-3 checkpoint.
-func (p *Pipeline) finishStage3(rep *Report, inst *smt.Instance, m *portmodel.Mapping) {
+// finishStage3 stores the blocker mapping and back-fills the inferred
+// port sets into the blocking classes.
+func (p *Pipeline) finishStage3(rep *Report, m *portmodel.Mapping) {
 	rep.BlockerMapping = m
-	p.lemmaRecords = inst.LemmaRecords()
 	for i := range rep.Classes {
 		cls := &rep.Classes[i]
 		if u, ok := m.Get(cls.Rep); ok && len(u) > 0 {

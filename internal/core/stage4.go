@@ -32,7 +32,10 @@ type runResult struct {
 // previously found µops on proper subsets are subtracted (Algorithm
 // 1). The stage runs characterizeRuns times with fresh measurements
 // and accepts a result only when a majority of runs agree (§4.4).
-func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
+//
+// votes are the completed runs of a resumed stage 4. The checkpoint
+// is rewritten after every run.
+func (p *Pipeline) stage4(ctx context.Context, rep *Report, votes []map[string]charRunRecord) error {
 	blockers := p.stage4Blockers(rep)
 
 	// Collect the schemes to characterize: not excluded, and
@@ -64,17 +67,11 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 	results := make(map[string][]runResult, len(todo))
 
 	for r := 0; r < characterizeRuns; r++ {
-		name := fmt.Sprintf("stage4-run%d", r)
-		if p.Opts.Resume {
-			restored, err := p.restoreStage4Run(name, r, todo, results, rep)
-			if err != nil {
-				return err
-			}
-			if restored {
-				p.logf("stage 4: run %d restored from checkpoint", r)
-				continue
-			}
+		if r < len(votes) && restoreRun(votes[r], todo, results) {
+			p.logf("stage 4: run %d restored from checkpoint", r)
+			continue
 		}
+		votes = votes[:r]
 		// Run 0 shares cache generation 0 with stages 1–3; runs r>0
 		// get fresh measurements. Naming generations explicitly —
 		// rather than just clearing the cache — lets a resumed run land
@@ -83,7 +80,8 @@ func (p *Pipeline) stage4(ctx context.Context, rep *Report) error {
 		if err := p.characterizeRun(ctx, rep, todo, blockers, results, uint64(r), r == 0); err != nil {
 			return err
 		}
-		if err := p.saveStage4Run(name, r, todo, results, rep); err != nil {
+		votes = append(votes, runVotes(r, todo, results))
+		if err := p.save(3, rep, votes); err != nil {
 			return err
 		}
 	}

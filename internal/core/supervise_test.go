@@ -128,7 +128,7 @@ func TestPipelineRetryUnresolvedOnResume(t *testing.T) {
 	if _, ok := rep1.Final.Get(key); ok {
 		t.Fatal("doctored mapping still contains the scheme")
 	}
-	if err := p1.saveStage("final", rep1, nil); err != nil {
+	if err := p1.save(4, rep1, nil); err != nil {
 		t.Fatal(err)
 	}
 

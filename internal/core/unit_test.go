@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"zenport/internal/isa"
+	"zenport/internal/persist"
 	"zenport/internal/portmodel"
 )
 
@@ -129,5 +132,62 @@ func TestImproperOwnPorts(t *testing.T) {
 	usage = portmodel.Usage{{Ports: portmodel.MakePortSet(2), Count: 1}}
 	if _, ok := improperOwnPorts(rep, usage); ok {
 		t.Fatal("expected no own port")
+	}
+}
+
+// TestOptionsAnswerKeyCoversEveryField: every Options field either
+// changes answerKey, so a checkpoint written under another value is
+// not resumed from, or sits on the answer-neutral list with its
+// reason. A new field fails here until it is classified.
+func TestOptionsAnswerKeyCoversEveryField(t *testing.T) {
+	keyed := map[string][]func(*Options){
+		"Epsilon":  {func(o *Options) { o.Epsilon = 0.03 }},
+		"MaxSlack": {func(o *Options) { o.MaxSlack = 0.5 }},
+		"SolverBudget": {
+			func(o *Options) { o.SolverBudget.MaxConflicts = 1000 },
+			func(o *Options) { o.SolverBudget.MaxPropagations = 1000 },
+			func(o *Options) { o.SolverBudget.MaxDecisions = 1000 },
+			func(o *Options) { o.SolverBudget.Deadline = time.Now() },
+		},
+	}
+	ck, err := persist.NewCheckpointer(t.TempDir(), "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	neutral := map[string]struct {
+		why string
+		set func(*Options)
+	}{
+		"Checkpointer": {"where progress is kept, not what it is", func(o *Options) { o.Checkpointer = ck }},
+		"Resume":       {"whether kept progress is reused", func(o *Options) { o.Resume = true }},
+		"Log":          {"progress lines only", func(o *Options) { o.Log = t.Logf }},
+		"CharacterizeFilter": {"a sharded slice keeps its checkpoint in its own directory",
+			func(o *Options) { o.CharacterizeFilter = func(string) bool { return false } }},
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		_, k := keyed[name]
+		_, n := neutral[name]
+		if k == n {
+			t.Errorf("Options.%s: classify it as keyed (answerKey renders it) or answer-neutral (with a reason)", name)
+		}
+	}
+	base := DefaultOptions().answerKey()
+	for name, sets := range keyed {
+		for i, set := range sets {
+			o := DefaultOptions()
+			set(&o)
+			if o.answerKey() == base {
+				t.Errorf("Options.%s (change %d) leaves answerKey at %q", name, i, base)
+			}
+		}
+	}
+	for name, f := range neutral {
+		o := DefaultOptions()
+		f.set(&o)
+		if o.answerKey() != base {
+			t.Errorf("answer-neutral Options.%s (%s) changes answerKey to %q", name, f.why, o.answerKey())
+		}
 	}
 }

@@ -209,8 +209,8 @@ func IsTransient(err error) bool {
 }
 
 // Metrics is a snapshot of the engine's counters. All counts are
-// cumulative over the engine's lifetime; ClearCache does not reset
-// them.
+// cumulative over the engine's lifetime; BeginGeneration does not
+// reset them.
 type Metrics struct {
 	// Submitted counts experiments handed to Measure/MeasureBatch.
 	Submitted uint64
@@ -279,8 +279,7 @@ type Engine struct {
 	// key. It shares mu, so the cache probe and the in-flight registry
 	// are checked atomically (see flight).
 	flight *flight
-	// gen is the cache generation: BeginGeneration/ClearCache bump or
-	// set it, and persisted results are keyed by it so independent
+	// gen is the cache generation: BeginGeneration sets it, and persisted results are keyed by it so independent
 	// re-measurement rounds (the stage-4 characterization runs) do
 	// not alias in the on-disk cache.
 	gen uint64
@@ -887,16 +886,6 @@ func (g *Engine) noteLowConfLocked(key string, q Quality) {
 	if old, ok := g.lowConf[key]; !ok || q.Spread > old.Spread {
 		g.lowConf[key] = q
 	}
-}
-
-// ClearCache drops all cached results (used when re-running the
-// characterization stage with fresh noise, §4.4) by advancing to the
-// next cache generation. Metrics are preserved.
-func (g *Engine) ClearCache() {
-	g.mu.Lock()
-	next := g.gen + 1
-	g.mu.Unlock()
-	g.BeginGeneration(next)
 }
 
 // Fingerprint identifies the engine's measurement parameters for the

@@ -60,20 +60,6 @@ func (o Operand) String() string {
 	}
 }
 
-// Bits returns the operand's width in bits (128/256 for XMM/YMM).
-func (o Operand) Bits() int {
-	switch o.Kind {
-	case XMM:
-		return 128
-	case YMM:
-		return 256
-	case AH:
-		return 8
-	default:
-		return o.Width
-	}
-}
-
 // Attr is a bitset of scheme attributes relevant to measurement and
 // inference. They encode the exclusion criteria of Sections 4.1–4.2
 // of the paper.
@@ -149,38 +135,6 @@ func (s *Scheme) Key() string {
 		parts[i] = o.String()
 	}
 	return s.Mnemonic + " " + strings.Join(parts, ", ")
-}
-
-// HasMemOperand reports whether any operand is a memory operand, and
-// the widest one in bits.
-func (s *Scheme) HasMemOperand() (bool, int) {
-	w := 0
-	for _, o := range s.Operands {
-		if o.Kind == MEM && o.Width > w {
-			w = o.Width
-		}
-	}
-	return w > 0, w
-}
-
-// IsVector reports whether the scheme has an XMM or YMM operand.
-func (s *Scheme) IsVector() bool {
-	for _, o := range s.Operands {
-		if o.Kind == XMM || o.Kind == YMM {
-			return true
-		}
-	}
-	return false
-}
-
-// Is256 reports whether the scheme operates on 256-bit vectors.
-func (s *Scheme) Is256() bool {
-	for _, o := range s.Operands {
-		if o.Kind == YMM {
-			return true
-		}
-	}
-	return false
 }
 
 // Op is a convenience constructor for operands.

@@ -21,30 +21,6 @@ func TestSchemeKey(t *testing.T) {
 	}
 }
 
-func TestOperandBits(t *testing.T) {
-	if X().Bits() != 128 || Y().Bits() != 256 || R(64).Bits() != 64 || Op(AH, 8).Bits() != 8 {
-		t.Fatal("Bits wrong")
-	}
-}
-
-func TestSchemePredicates(t *testing.T) {
-	s := Scheme{Mnemonic: "vpaddd", Operands: []Operand{Y(), Y(), M(256)}}
-	if !s.IsVector() || !s.Is256() {
-		t.Fatal("vector predicates wrong")
-	}
-	hasMem, w := s.HasMemOperand()
-	if !hasMem || w != 256 {
-		t.Fatalf("HasMemOperand = %v, %d", hasMem, w)
-	}
-	scalar := Scheme{Mnemonic: "add", Operands: []Operand{R(32), R(32)}}
-	if scalar.IsVector() || scalar.Is256() {
-		t.Fatal("scalar predicates wrong")
-	}
-	if hasMem, _ := scalar.HasMemOperand(); hasMem {
-		t.Fatal("scalar has no memory operand")
-	}
-}
-
 func TestAttrHas(t *testing.T) {
 	a := AttrCommon | AttrMicrocoded
 	if !a.Has(AttrCommon) || !a.Has(AttrMicrocoded) || a.Has(AttrSystem) {

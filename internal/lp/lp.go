@@ -115,12 +115,6 @@ func (p *Problem) AddConstraint(vars []int, coeffs []float64, rel Relation, rhs 
 	return nil
 }
 
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return p.nvars }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // Value returns the value of variable v in the optimal solution.
 func (p *Problem) Value(v int) (float64, error) {
 	if !p.solved || p.status != Optimal {

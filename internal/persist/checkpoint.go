@@ -4,24 +4,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 )
 
-// Checkpointer saves and restores pipeline stage outcomes inside a
-// cache directory. Each checkpoint is one sealed document (see
-// WriteDocument), so a truncated, bit-flipped, or stale checkpoint is
-// detected with an error — never deserialized into a half-restored
-// pipeline.
+// Checkpointer saves and restores the pipeline's checkpoint inside a
+// cache directory: one sealed document (see WriteDocument), rewritten
+// whole after every step the pipeline wants to survive a kill, so a
+// truncated, bit-flipped, or stale checkpoint is detected with an
+// error — never deserialized into a half-restored pipeline.
 type Checkpointer struct {
 	dir         string
 	fingerprint string
 }
 
-// checkpointName restricts checkpoint names to a safe filename
-// alphabet; names are caller-chosen identifiers like "stage3" or
-// "stage4-run2", not user input, but the guard keeps path traversal
-// structurally impossible.
-var checkpointName = regexp.MustCompile(`^[a-zA-Z0-9._-]+$`)
+// checkpointFile is the checkpoint document's name inside
+// dir/checkpoints.
+const checkpointFile = "pipeline.ckpt.json"
 
 // NewCheckpointer returns a checkpointer rooted at dir/checkpoints.
 func NewCheckpointer(dir, fingerprint string) (*Checkpointer, error) {
@@ -35,44 +32,28 @@ func NewCheckpointer(dir, fingerprint string) (*Checkpointer, error) {
 	return &Checkpointer{dir: cdir, fingerprint: fingerprint}, nil
 }
 
-// path returns the file path of a named checkpoint.
-func (c *Checkpointer) path(name string) (string, error) {
-	if !checkpointName.MatchString(name) {
-		return "", fmt.Errorf("persist: invalid checkpoint name %q", name)
-	}
-	return filepath.Join(c.dir, name+".ckpt.json"), nil
-}
-
-// Save writes the named checkpoint atomically.
-func (c *Checkpointer) Save(name string, payload any) error {
-	p, err := c.path(name)
-	if err != nil {
-		return err
-	}
-	if err := WriteDocument(p, c.fingerprint, payload); err != nil {
-		return fmt.Errorf("persist: checkpoint %s: %w", name, err)
+// Save replaces the checkpoint with payload, atomically.
+func (c *Checkpointer) Save(payload any) error {
+	if err := WriteDocument(filepath.Join(c.dir, checkpointFile), c.fingerprint, payload); err != nil {
+		return fmt.Errorf("persist: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Load reads the named checkpoint into out. It returns (false, nil)
-// when the checkpoint does not exist, and an error — wrapping
-// ErrCorrupt or ErrFingerprintMismatch — when it exists but cannot be
-// trusted.
-func (c *Checkpointer) Load(name string, out any) (bool, error) {
-	p, err := c.path(name)
+// Load reads the checkpoint into out. It returns (false, nil) when
+// there is no checkpoint, and an error — wrapping ErrCorrupt or
+// ErrFingerprintMismatch — when it exists but cannot be trusted.
+func (c *Checkpointer) Load(out any) (bool, error) {
+	ok, err := ReadDocument(filepath.Join(c.dir, checkpointFile), c.fingerprint, out)
 	if err != nil {
-		return false, err
-	}
-	ok, err := ReadDocument(p, c.fingerprint, out)
-	if err != nil {
-		return false, fmt.Errorf("checkpoint %s: %w", name, err)
+		return false, fmt.Errorf("checkpoint: %w", err)
 	}
 	return ok, nil
 }
 
-// Clear removes all saved checkpoints (used when starting a fresh,
-// non-resumed run so stale stage files cannot shadow the new run).
+// Clear removes every *.json file of the checkpoint directory: the
+// checkpoint, and the per-stage files older builds wrote (used when
+// starting a fresh, non-resumed run so nothing stale can shadow it).
 func (c *Checkpointer) Clear() error {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // A sealed document is the on-disk form of every persisted artifact
 // that is rewritten whole rather than appended to: the store's
-// snapshot, the stage checkpoints, and the shard layer's campaign
+// snapshot, the pipeline checkpoint, and the shard layer's campaign
 // manifest and slice results. Its first line is a JSON Header — format
 // version, configuration fingerprint, CRC-32C of the payload — and the
 // rest of the file is the payload JSON. Documents are written

@@ -182,11 +182,11 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 
 func TestCheckpointCorruptInputs(t *testing.T) {
 	testCorruptDocument(t, document{
-		file: filepath.Join("checkpoints", "stage1.ckpt.json"),
+		file: filepath.Join("checkpoints", "pipeline.ckpt.json"),
 		write: func(t *testing.T, dir string) {
 			ck, err := persist.NewCheckpointer(dir, docFP)
 			if err == nil {
-				err = ck.Save("stage1", map[string]int{"add": 1})
+				err = ck.Save(map[string]int{"add": 1})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -198,7 +198,7 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 				return err
 			}
 			var out map[string]int
-			ok, err := ck.Load("stage1", &out)
+			ok, err := ck.Load(&out)
 			if err == nil && !ok {
 				err = errors.New("checkpoint not found")
 			}

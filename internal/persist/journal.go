@@ -19,9 +19,9 @@
 // the snapshot document plus journal on startup to pre-warm the
 // engine's result cache, records new results as they are executed,
 // and compacts the journal into the snapshot at batch boundaries. A
-// Checkpointer (checkpoint.go) saves each pipeline stage's outcome as
-// a document so `-resume` restarts an interrupted run from the last
-// completed stage.
+// Checkpointer (checkpoint.go) keeps the pipeline's progress in one
+// document so `-resume` restarts an interrupted run from the last
+// completed step.
 //
 // All persisted state is keyed by a caller-supplied fingerprint of
 // the processor/measurement configuration (seed, noise model, reps,

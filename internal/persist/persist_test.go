@@ -428,7 +428,8 @@ func writeSnapshotFile(t *testing.T, dir, fingerprint string, recs ...Record) {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	ck, err := NewCheckpointer(t.TempDir(), testFP)
+	dir := t.TempDir()
+	ck, err := NewCheckpointer(dir, testFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,44 +437,37 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Stage int            `json:"stage"`
 		Votes map[string]int `json:"votes"`
 	}
-	want := payload{Stage: 3, Votes: map[string]int{"add": 2}}
-	if err := ck.Save("stage3", &want); err != nil {
-		t.Fatal(err)
-	}
 	var got payload
-	ok, err := ck.Load("stage3", &got)
-	if err != nil || !ok {
-		t.Fatalf("Load: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-
-	if ok, err := ck.Load("absent", &got); ok || err != nil {
+	if ok, err := ck.Load(&got); ok || err != nil {
 		t.Errorf("absent checkpoint: ok=%v err=%v, want false,nil", ok, err)
 	}
+	for _, want := range []payload{{Stage: 3, Votes: map[string]int{"add": 2}}, {Stage: 4}} {
+		if err := ck.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		got = payload{}
+		ok, err := ck.Load(&got)
+		if err != nil || !ok {
+			t.Fatalf("Load: ok=%v err=%v", ok, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("got %+v, want %+v", got, want)
+		}
+	}
 
+	// Clear also removes the per-stage files older builds wrote.
+	legacy := filepath.Join(dir, "checkpoints", "stage3.ckpt.json")
+	if err := WriteDocument(legacy, testFP, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := ck.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := ck.Load("stage3", &got); ok {
+	if ok, _ := ck.Load(&got); ok {
 		t.Error("checkpoint survived Clear")
 	}
-}
-
-func TestCheckpointNameValidation(t *testing.T) {
-	ck, err := NewCheckpointer(t.TempDir(), testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"", "../escape", "a/b", "with space"} {
-		if err := ck.Save(name, 1); err == nil {
-			t.Errorf("Save(%q) accepted an invalid name", name)
-		}
-		var out int
-		if _, err := ck.Load(name, &out); err == nil {
-			t.Errorf("Load(%q) accepted an invalid name", name)
-		}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Errorf("legacy checkpoint survived Clear: %v", err)
 	}
 }
 

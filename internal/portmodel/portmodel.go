@@ -140,13 +140,29 @@ func (u Usage) TotalUops() int {
 }
 
 // Equal reports whether two usages denote the same multiset of µops.
+// Usages already in normal form, as Mapping.Set stores them, are
+// compared in place; others are normalized into copies first.
 func (u Usage) Equal(v Usage) bool {
-	a, b := u.Clone().Normalize(), v.Clone().Normalize()
+	a, b := u, v
+	if !a.normal() || !b.normal() {
+		a, b = u.Clone().Normalize(), v.Clone().Normalize()
+	}
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// normal reports whether u is its own Normalize: strictly ascending
+// port sets, so sorted with no port set repeated, and no zero count.
+func (u Usage) normal() bool {
+	for i, x := range u {
+		if x.Count == 0 || (i > 0 && u[i-1].Ports >= x.Ports) {
 			return false
 		}
 	}
@@ -376,19 +392,6 @@ func Bottleneck(mass map[PortSet]float64) (PortSet, float64) {
 		}
 	}
 	return bestQ, best
-}
-
-// Throughput returns the (non-inverse) throughput of the experiment:
-// experiment iterations per cycle.
-func (m *Mapping) Throughput(e Experiment) (float64, error) {
-	inv, err := m.InverseThroughput(e)
-	if err != nil {
-		return 0, err
-	}
-	if inv == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / inv, nil
 }
 
 // IPC returns the instructions-per-cycle of the experiment under the

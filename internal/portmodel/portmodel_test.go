@@ -3,6 +3,8 @@ package portmodel
 import (
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -56,6 +58,39 @@ func TestUsageNormalizeAndEqual(t *testing.T) {
 	}
 	if u.TotalUops() != 5 {
 		t.Fatalf("TotalUops = %d, want 5", u.TotalUops())
+	}
+	if n := testing.AllocsPerRun(10, func() { u.Equal(want) }); n != 0 {
+		t.Errorf("Equal of normalized usages allocates %.0f times", n)
+	}
+
+	// Unnormalized operands compare as the multisets they denote and
+	// are left as they were.
+	p0, p1, p01 := MakePortSet(0), MakePortSet(1), MakePortSet(0, 1)
+	cases := []struct {
+		name string
+		a, b Usage
+		want bool
+	}{
+		{"unsorted", Usage{{p01, 2}, {p1, 3}}, want, true},
+		{"zero count", Usage{{p1, 3}, {p0, 0}, {p01, 2}}, want, true},
+		{"repeated port set", Usage{{p1, 1}, {p01, 2}, {p1, 2}}, want, true},
+		{"both unnormalized", Usage{{p01, 1}, {p1, 3}, {p01, 1}}, Usage{{p1, 2}, {p01, 2}, {p1, 1}}, true},
+		{"only zero counts", Usage{{p0, 0}}, nil, true},
+		{"count differs", Usage{{p01, 2}, {p1, 2}}, want, false},
+		{"port set differs", Usage{{p01, 2}, {p0, 3}}, want, false},
+		{"extra µop", Usage{{p01, 2}, {p1, 3}, {p0, 0}, {p0, 1}}, want, false},
+	}
+	for _, c := range cases {
+		a, b := slices.Clone(c.a), slices.Clone(c.b)
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%s: %v.Equal(%v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
+		if got := c.b.Equal(c.a); got != c.want {
+			t.Errorf("%s: %v.Equal(%v) = %v, want %v", c.name, c.b, c.a, got, c.want)
+		}
+		if !reflect.DeepEqual(a, c.a) || !reflect.DeepEqual(b, c.b) {
+			t.Errorf("%s: Equal changed its operands", c.name)
+		}
 	}
 }
 
@@ -313,24 +348,5 @@ func TestJSONRejectsInvalid(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"num_ports":2,"usage":{"x":[{"ports":[9],"count":1}]}}`), &m); err == nil {
 		t.Fatal("expected error for out-of-range port")
-	}
-}
-
-func TestThroughputInverse(t *testing.T) {
-	m := paperMapping()
-	tp, err := m.Throughput(Exp("add"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(tp, 2) {
-		t.Fatalf("Throughput = %v, want 2", tp)
-	}
-	m.Set("nop", Usage{})
-	tp, err = m.Throughput(Exp("nop"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(tp, 1) {
-		t.Fatalf("Throughput of free instruction = %v, want +Inf", tp)
 	}
 }

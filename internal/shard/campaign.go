@@ -18,7 +18,7 @@ import (
 //	campaign.json   — manifest: fingerprint, shard count, slices
 //	campaign.lock   — short-lived flock serializing manifest creation
 //	slice-NN/       — per-slice directory: lease files, persist
-//	                  journals/snapshots, stage checkpoints, result.json
+//	                  journals/snapshots, pipeline checkpoint, result.json
 //
 // After a merge, the campaign root additionally holds the compacted
 // snapshot absorbing every slice's measurements (the regular persist

@@ -46,7 +46,7 @@ func tiedInstance() (*Instance, []MeasuredExp, *portmodel.Mapping) {
 // the encoding a fresh build of the instance gives — the same solver
 // state, so the same search — after every change the pristine cache
 // has to follow: learned lemmas, a FindOtherMapping rollback, dropping
-// an early lemma, restoring a checkpoint, Reset, and an edit of Uops.
+// an early lemma, an edit of Uops, and Reset.
 func TestEncodeCacheMatchesFresh(t *testing.T) {
 	in, exps, truth := tiedInstance()
 	in.Telemetry = &QueryStats{}
@@ -83,7 +83,7 @@ func TestEncodeCacheMatchesFresh(t *testing.T) {
 		srcs[lem.src.String()] = true
 	}
 	if len(srcs) < 2 {
-		t.Fatalf("learned %d lemmas from %d experiments; want at least two experiments", in.LemmaCount(), len(srcs))
+		t.Fatalf("learned %d lemmas from %d experiments; want at least two experiments", len(in.lemmas), len(srcs))
 	}
 	check("learned lemmas")
 
@@ -93,14 +93,14 @@ func TestEncodeCacheMatchesFresh(t *testing.T) {
 		if round == 20 {
 			t.Fatal("CEGAR did not converge")
 		}
-		mark, learned := in.LemmaCount(), in.Telemetry.LemmasLearned
+		mark, learned := len(in.lemmas), in.Telemetry.LemmasLearned
 		other, err := in.FindOtherMapping(exps, m1, 2, 4, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if other == nil {
-			if in.Telemetry.LemmasLearned == learned || in.LemmaCount() != mark {
-				t.Fatalf("want a rolled-back uniqueness proof; lemmas %d -> %d", mark, in.LemmaCount())
+			if in.Telemetry.LemmasLearned == learned || len(in.lemmas) != mark {
+				t.Fatalf("want a rolled-back uniqueness proof; lemmas %d -> %d", mark, len(in.lemmas))
 			}
 			break
 		}
@@ -114,32 +114,22 @@ func TestEncodeCacheMatchesFresh(t *testing.T) {
 		}
 	}
 	check("FindOtherMapping rollback")
-	recs := in.LemmaRecords()
 
-	if in.pristineLemmas != in.LemmaCount() {
-		t.Fatalf("cache holds %d of %d lemmas before the drop", in.pristineLemmas, in.LemmaCount())
+	if in.pristineLemmas != len(in.lemmas) {
+		t.Fatalf("cache holds %d of %d lemmas before the drop", in.pristineLemmas, len(in.lemmas))
 	}
 	if n := in.DropLemmasFrom(in.lemmas[0].src); n == 0 {
 		t.Fatal("dropped no lemma")
 	}
 	check("DropLemmasFrom of the first lemma")
 
-	if err := in.RestoreLemmas(recs[1:]); err != nil {
-		t.Fatal(err)
-	}
-	check("RestoreLemmas")
-
-	in.Reset()
-	check("Reset")
-
-	if err := in.RestoreLemmas(recs); err != nil {
-		t.Fatal(err)
-	}
-	check("RestoreLemmas after Reset")
 	in.Uops[2].NumPorts = 2
 	check("edit of Uops in place")
 	in.Uops = append(in.Uops, UopSpec{Key: "extra", NumPorts: 1})
 	check("appended µop")
 	in.NumPorts = 5
 	check("NumPorts")
+
+	in.Reset()
+	check("Reset")
 }

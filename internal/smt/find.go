@@ -190,8 +190,7 @@ func (in *Instance) FindOtherMapping(exps []MeasuredExp, m1 *portmodel.Mapping, 
 // any outcome without a found OtherMapping rolls the store back to
 // its pre-query state. A nil result ends its CEGAR loop (the mapping
 // is unique within bounds), so nothing downstream warm-starts from
-// its trail. Stage-3 checkpoints serialise the store, so the rollback
-// is part of their bytes too.
+// its trail.
 func (in *Instance) FindOtherMappingBudget(ctx context.Context, exps []MeasuredExp, m1 *portmodel.Mapping, maxDistinct, maxTotal, maxCandidates int, budget *sat.Budget) (*OtherMapping, error) {
 	mark := len(in.lemmas)
 	om, err := in.findOtherMapping(ctx, exps, m1, maxDistinct, maxTotal, maxCandidates, budget)
@@ -447,9 +446,6 @@ func abs(x float64) float64 {
 // for reporting.
 func (in *Instance) SortedKeys() []string { return in.keys() }
 
-// LemmaCount returns the number of theory lemmas learned so far.
-func (in *Instance) LemmaCount() int { return len(in.lemmas) }
-
 // Reset drops all learned lemmas (used between independent runs on
 // the same instance shape).
 func (in *Instance) Reset() {
@@ -511,7 +507,7 @@ func (in *Instance) Without(keys map[string]bool) *Instance {
 			slab = slab[:start]
 			continue
 		}
-		out.lemmas = append(out.lemmas, lemma{lits: slab[start:len(slab):len(slab)], src: lem.src, slack: lem.slack})
+		out.lemmas = append(out.lemmas, lemma{lits: slab[start:len(slab):len(slab)], src: lem.src})
 	}
 	return out
 }

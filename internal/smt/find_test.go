@@ -50,7 +50,7 @@ func TestDistinguishAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per search", allocs)
-	if allocs >= 200 {
-		t.Fatalf("a no-hit distinguish makes %.0f allocations; want fewer than 200", allocs)
+	if allocs >= 90 {
+		t.Fatalf("a no-hit distinguish makes %.0f allocations; want fewer than 90", allocs)
 	}
 }

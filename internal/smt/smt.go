@@ -83,8 +83,8 @@ type Instance struct {
 	// it with the lemmas learned since and hands each query a clone,
 	// the same clauses in the same order as a fresh encoding. It holds
 	// only while the lemma prefix it encodes is unchanged, which
-	// DropLemmasFrom, RestoreLemmas, Reset and the FindOtherMappingBudget
-	// rollback enforce through invalidateFrom, and while Uops and
+	// DropLemmasFrom, Reset and the FindOtherMappingBudget rollback
+	// enforce through invalidateFrom, and while Uops and
 	// NumPorts equal the shape recorded in pristineUops and
 	// pristinePorts, which encode compares.
 	pristine       *encoding
@@ -100,6 +100,8 @@ type Instance struct {
 
 // MeasuredExp is an experiment with its measured inverse throughput.
 type MeasuredExp struct {
+	// Exp must not be mutated once passed to a query: the lemmas
+	// learned from it keep a reference to it.
 	Exp  portmodel.Experiment
 	TInv float64
 	// Slack widens this experiment's acceptance tolerance beyond the
@@ -121,14 +123,14 @@ type lemmaLit struct {
 
 // lemma is a learned theory clause together with the experiment it
 // was derived from (the lemma is sound only while that experiment is
-// part of the measured set). slack records the source experiment's
-// Slack at learning time: widening the tolerance afterwards
-// invalidates the lemma (a mapping it excludes may now be acceptable),
-// so relaxation must drop the experiment's lemmas via DropLemmasFrom.
+// part of the measured set). src is the MeasuredExp's own map, shared
+// by every lemma learned from it. Widening the experiment's tolerance
+// afterwards invalidates the lemma (a mapping it excludes may now be
+// acceptable), so relaxation must drop the experiment's lemmas via
+// DropLemmasFrom.
 type lemma struct {
-	lits  []lemmaLit
-	src   portmodel.Experiment
-	slack float64
+	lits []lemmaLit
+	src  portmodel.Experiment
 }
 
 // keys returns the distinct instruction keys of the instance.
@@ -403,9 +405,9 @@ func (in *Instance) learnViolations(enc *encoding, prop *Propagator, byUop []por
 	for _, v := range vs {
 		var err error
 		if v.tooSlow {
-			err = in.addTooSlowLemma(prop.witness(v.idx), byUop, exps[v.idx].Exp, exps[v.idx].Slack)
+			err = in.addTooSlowLemma(prop.witness(v.idx), byUop, exps[v.idx].Exp)
 		} else {
-			err = in.addTooFastLemma(byUop, exps[v.idx].Exp, exps[v.idx].Slack)
+			err = in.addTooFastLemma(byUop, exps[v.idx].Exp)
 		}
 		if err != nil {
 			return err
@@ -426,7 +428,7 @@ var errUnsatLemma = errors.New("smt: lemma closed the search space")
 // mapping, any mapping keeping every culprit µop inside q has
 // mass(q) at least as large and is therefore at least as slow, so
 // some culprit µop must gain a port outside q.
-func (in *Instance) addTooSlowLemma(q portmodel.PortSet, byUop []portmodel.PortSet, e portmodel.Experiment, slack float64) error {
+func (in *Instance) addTooSlowLemma(q portmodel.PortSet, byUop []portmodel.PortSet, e portmodel.Experiment) error {
 	var lem []lemmaLit
 	for ui, spec := range in.Uops {
 		if e[spec.Key] == 0 {
@@ -444,7 +446,7 @@ func (in *Instance) addTooSlowLemma(q portmodel.PortSet, byUop []portmodel.PortS
 	if len(lem) == 0 {
 		return fmt.Errorf("smt: empty too-slow lemma (measurement outside any model value)")
 	}
-	in.lemmas = append(in.lemmas, lemma{lits: lem, src: e.Clone(), slack: slack})
+	in.lemmas = append(in.lemmas, lemma{lits: lem, src: e})
 	return nil
 }
 
@@ -453,7 +455,7 @@ func (in *Instance) addTooSlowLemma(q portmodel.PortSet, byUop []portmodel.PortS
 // any mapping whose µop port sets are supersets of the failing one is
 // also too fast; some participating µop must lose one of its current
 // ports.
-func (in *Instance) addTooFastLemma(byUop []portmodel.PortSet, e portmodel.Experiment, slack float64) error {
+func (in *Instance) addTooFastLemma(byUop []portmodel.PortSet, e portmodel.Experiment) error {
 	var lem []lemmaLit
 	for ui, spec := range in.Uops {
 		if e[spec.Key] == 0 {
@@ -468,7 +470,7 @@ func (in *Instance) addTooFastLemma(byUop []portmodel.PortSet, e portmodel.Exper
 	if len(lem) == 0 {
 		return fmt.Errorf("smt: empty too-fast lemma")
 	}
-	in.lemmas = append(in.lemmas, lemma{lits: lem, src: e.Clone(), slack: slack})
+	in.lemmas = append(in.lemmas, lemma{lits: lem, src: e})
 	return nil
 }
 

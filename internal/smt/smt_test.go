@@ -269,7 +269,7 @@ func TestInstanceHelpers(t *testing.T) {
 		t.Fatalf("SortedKeys = %v", got)
 	}
 	cl := in.Clone()
-	if len(cl.Uops) != 2 || cl.LemmaCount() != 0 {
+	if len(cl.Uops) != 2 || len(cl.lemmas) != 0 {
 		t.Fatal("Clone broken")
 	}
 	w := in.Without(map[string]bool{"iA": true})
@@ -286,11 +286,8 @@ func TestInstanceHelpers(t *testing.T) {
 		t.Fatalf("FilterExps = %v", f)
 	}
 	in.lemmas = append(in.lemmas, lemma{lits: []lemmaLit{{0, 0, false}}, src: portmodel.Exp("iA")})
-	if in.LemmaCount() != 1 {
-		t.Fatal("LemmaCount broken")
-	}
 	in.Reset()
-	if in.LemmaCount() != 0 {
+	if len(in.lemmas) != 0 {
 		t.Fatal("Reset broken")
 	}
 }
@@ -489,8 +486,6 @@ func bruteForceDistinguish(t *testing.T, in *Instance, m1, m2 *portmodel.Mapping
 // TestFindOtherMappingNilRollsBack: the nil FindOtherMapping that ends
 // a CEGAR loop (the uniqueness proof) must leave the lemma store as it
 // found it, even though its enumeration learns lemmas on the way.
-// Stage-3 checkpoints serialise the store, so a trail left behind by
-// the last query would change them.
 func TestFindOtherMappingNilRollsBack(t *testing.T) {
 	// The distinct-ports truth: its uniqueness proof learns a lemma,
 	// so the rollback has something to undo.
@@ -506,7 +501,7 @@ func TestFindOtherMappingNilRollsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, learned := in.LemmaCount(), in.Telemetry.LemmasLearned
+		before, learned := len(in.lemmas), in.Telemetry.LemmasLearned
 		other, err := in.FindOtherMapping(exps, m1, 2, 4, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -515,7 +510,7 @@ func TestFindOtherMappingNilRollsBack(t *testing.T) {
 			if in.Telemetry.LemmasLearned == learned {
 				t.Fatal("the uniqueness proof learned no lemma; the rollback went unexercised")
 			}
-			if got := in.LemmaCount(); got != before {
+			if got := len(in.lemmas); got != before {
 				t.Fatalf("nil FindOtherMapping changed the lemma store: %d -> %d", before, got)
 			}
 			return
@@ -543,10 +538,10 @@ func TestFindRejectsUninternableExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.LemmaCount() == 0 {
+	if len(in.lemmas) == 0 {
 		t.Fatal("setup learned no lemma; the store check would be vacuous")
 	}
-	before := in.LemmaRecords()
+	before := slices.Clone(in.lemmas)
 	for _, c := range []struct {
 		exp     portmodel.Experiment
 		wantErr string
@@ -561,8 +556,8 @@ func TestFindRejectsUninternableExperiments(t *testing.T) {
 		if _, err := in.FindOtherMappingBudget(context.Background(), bad, m1, 2, 4, 100, nil); err == nil || err.Error() != c.wantErr {
 			t.Errorf("FindOtherMappingBudget(%v) error %v, want %q", c.exp, err, c.wantErr)
 		}
-		if got := in.LemmaRecords(); !reflect.DeepEqual(got, before) {
-			t.Fatalf("%v: lemma store changed: %d -> %d records", c.exp, len(before), len(got))
+		if got := in.lemmas; !reflect.DeepEqual(got, before) {
+			t.Fatalf("%v: lemma store changed: %d -> %d lemmas", c.exp, len(before), len(got))
 		}
 	}
 }
@@ -577,17 +572,17 @@ func TestFindOtherMappingRejectsIncompleteMapping(t *testing.T) {
 	if _, err := in.FindMapping(exps); err != nil {
 		t.Fatal(err)
 	}
-	if in.LemmaCount() == 0 {
+	if len(in.lemmas) == 0 {
 		t.Fatal("setup learned no lemma; the store check would be vacuous")
 	}
-	before := in.LemmaRecords()
+	before := slices.Clone(in.lemmas)
 	m1 := portmodel.NewMapping(2)
 	m1.Set("iA", portmodel.Usage{{Ports: portmodel.MakePortSet(0, 1), Count: 1}})
 	const want = `portmodel: no usage known for "iB"`
 	if _, err := in.FindOtherMapping(exps, m1, 2, 4, 100); err == nil || err.Error() != want {
 		t.Fatalf("FindOtherMapping error %v, want %q", err, want)
 	}
-	if got := in.LemmaRecords(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("lemma store changed: %d -> %d records", len(before), len(got))
+	if got := in.lemmas; !reflect.DeepEqual(got, before) {
+		t.Fatalf("lemma store changed: %d -> %d lemmas", len(before), len(got))
 	}
 }

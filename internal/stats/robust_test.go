@@ -37,52 +37,6 @@ func TestMAD(t *testing.T) {
 	}
 }
 
-func TestTrimmedMean(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		frac float64
-		want float64
-	}{
-		{"empty", nil, 0.2, 0},
-		{"single", []float64{7}, 0.2, 7},
-		{"constant", []float64{4, 4, 4}, 0.25, 4},
-		{"no trim", []float64{1, 2, 3, 4}, 0, 2.5},
-		{"trims tails", []float64{0, 10, 10, 10, 1000}, 0.2, 10},
-		{"over-trim falls back", []float64{1, 3}, 0.5, 2},
-		{"negative frac clamped", []float64{1, 2, 3}, -1, 2},
-	}
-	for _, c := range cases {
-		got := TrimmedMean(c.xs, c.frac)
-		noNaN(t, "TrimmedMean("+c.name+")", got)
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("TrimmedMean(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestRelSpread(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []float64{5}, 0},
-		{"constant", []float64{3, 3, 3}, 0},
-		{"zero median", []float64{-1, 0, 1}, 0},
-		{"basic", []float64{0.9, 1.0, 1.1}, 0.2},
-		{"heavy tail", []float64{1, 1, 1, 1, 11}, 10},
-	}
-	for _, c := range cases {
-		got := RelSpread(c.xs)
-		noNaN(t, "RelSpread("+c.name+")", got)
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("RelSpread(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestRobustSpread(t *testing.T) {
 	cases := []struct {
 		name string
@@ -102,14 +56,11 @@ func TestRobustSpread(t *testing.T) {
 			t.Errorf("RobustSpread(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
-	// A single wild outlier barely moves the IQR, while it dominates
-	// the raw spread — the property the adaptive engine relies on.
+	// A single wild outlier barely moves the IQR — the property the
+	// adaptive engine relies on.
 	xs := []float64{1, 1.01, 0.99, 1.02, 0.98, 1, 1.01, 0.99, 1, 1.02, 10}
 	if rs := RobustSpread(xs); rs > 0.1 {
 		t.Errorf("RobustSpread with outlier = %v, want < 0.1", rs)
-	}
-	if rs := RelSpread(xs); rs < 5 {
-		t.Errorf("RelSpread with outlier = %v, want > 5", rs)
 	}
 }
 

@@ -56,53 +56,9 @@ func MAD(xs []float64) float64 {
 // deviation estimate (MAD = 0.6745·σ for a Gaussian).
 const madToSigma = 1 / 0.6745
 
-// TrimmedMean returns the mean of xs after dropping a fraction frac of
-// the samples from each tail (frac is clamped into [0, 0.5)). With
-// nothing left after trimming it falls back to the plain mean; empty
-// input yields 0, never NaN.
-func TrimmedMean(xs []float64, frac float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	k := int(frac * float64(len(c)))
-	if 2*k >= len(c) {
-		return Mean(c)
-	}
-	return Mean(c[k : len(c)-k])
-}
-
-// RelSpread returns the raw relative spread (max−min)/|median| of xs.
-// It is the instability signal of §4.1.2/§4.2: bimodal measurements
-// show a large value that the median alone would hide. Fewer than two
-// samples, or a zero median, yield 0 — never NaN or Inf.
-func RelSpread(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Median(xs)
-	if m == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return (hi - lo) / math.Abs(m)
-}
-
 // RobustSpread returns the interquartile range of xs relative to its
-// median, IQR/|median|. Unlike RelSpread it does not grow with the
-// sample count under constant noise, which makes it the right
+// median, IQR/|median|. Unlike the raw (max−min)/|median| it does not
+// grow with the sample count under constant noise, which makes it the right
 // convergence criterion for adaptive repetition: more samples tighten
 // it only when the underlying distribution is actually concentrated.
 // Fewer than two samples, or a zero median, yield 0 — never NaN.

@@ -209,10 +209,6 @@ func ParseKernel(s string) (Experiment, error) { return serve.ParseKernel(s) }
 // plug its Eval method into MappingServerConfig.EvalHook.
 func NewServeFaults(regime ServeFaultRegime) *ServeFaults { return chaos.NewServeFaults(regime) }
 
-// DefaultServeFaultRegime is the serve-chaos soak's regime: frequent
-// short evaluator stalls plus one deterministic panic.
-func DefaultServeFaultRegime(seed int64) ServeFaultRegime { return chaos.DefaultServeRegime(seed) }
-
 // ZenDB builds the Zen+ instruction scheme database with ground
 // truth (1,100+ schemes).
 func ZenDB() *zen.DB { return zen.Build() }
@@ -251,10 +247,6 @@ func (h *Harness) InvThroughput(e Experiment) (float64, error) {
 	}
 	return r.InvThroughput, nil
 }
-
-// NewEngine builds a batch measurement engine with the paper's
-// parameters and a GOMAXPROCS-sized worker pool.
-func NewEngine(p Processor) *Engine { return engine.New(p) }
 
 // DefaultOptions returns the paper's pipeline parameters.
 func DefaultOptions() Options { return core.DefaultOptions() }
@@ -325,9 +317,6 @@ func LockCacheDir(dir string) (*CacheLock, error) {
 func EnsureShardManifest(dir, fingerprint string, shards int, universe []string) (*ShardManifest, error) {
 	return shard.EnsureManifest(dir, fingerprint, shards, universe)
 }
-
-// ShardSliceDir returns the directory of slice i under a campaign root.
-func ShardSliceDir(dir string, i int) string { return shard.SliceDir(dir, i) }
 
 // RunShard participates in a sharded campaign until this shard's work
 // is done: its own slice first, then — with cfg.Steal — dead or hung
