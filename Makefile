@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race perfbench-check soak solver-soak shard-soak serve-smoke serve-chaos-soak verify bench bench-smoke fuzz-smoke clean
+.PHONY: build test vet race perfbench-check soak solver-soak serve-smoke serve-chaos-soak verify bench bench-smoke fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ test:
 # pipelines. The SMT layer starts no goroutines of its own; racing it
 # is a cheap guard against shared state creeping in unnoticed.
 race:
-	$(GO) test -race -timeout 20m ./internal/engine/... ./internal/chaos/... ./internal/core/... ./internal/serve/... ./internal/shard/... ./internal/smt/...
+	$(GO) test -race -timeout 20m ./internal/engine/... ./internal/chaos/... ./internal/core/... ./internal/serve/... ./internal/smt/...
 
 # serve-smoke boots the zenportd HTTP stack in-process under the race
 # detector and replays a mixed 64-client query stream against it,
@@ -58,16 +58,6 @@ soak:
 # to the fault-free golden run.
 solver-soak:
 	$(GO) test -race -timeout 20m -run 'TestChaosConsistentLie|TestPipelineBudget|TestPipelineRetryUnresolvedOnResume|TestSupervised|TestUnsatCore' -v ./internal/chaos/ ./internal/core/ ./internal/smt/
-
-# shard-soak runs the distributed-campaign soak under the race
-# detector: a 3-shard campaign where one shard process is killed with
-# SIGKILL mid-stage-4 and its slice is stolen by a survivor via lease
-# takeover (the shard processes re-exec the race-built test binary),
-# plus the degraded-merge leg where a permanently missing slice leaves
-# its schemes unresolved instead of failing the merge. The merged
-# mapping must be byte-identical to the single-process golden run.
-shard-soak:
-	$(GO) test -race -timeout 20m -run 'TestShardCampaign|TestShardMerge' -v ./internal/shard/
 
 # perfbench-check vets and short-tests the benchmark harness.
 # perfbench is a nested module, so ./... above never compiles it; a

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	zeninfer [-seed N] [-noise F] [-parallel N] [-timeout D] [-max-schemes N] [-cache-dir DIR] [-resume] [-chaos] [-chaos-seed N] [-solver-budget N] [-max-slack F] [-shards N -shard-id I] [-merge] [-out mapping.json] [-witnesses]
+//	zeninfer [-seed N] [-noise F] [-parallel N] [-timeout D] [-max-schemes N] [-cache-dir DIR] [-resume] [-chaos] [-chaos-seed N] [-solver-budget N] [-max-slack F] [-out mapping.json] [-witnesses]
 //
 // Measurements run through the batch engine; -parallel sets the
 // worker-pool size (results are byte-identical for every value) and
@@ -17,7 +17,9 @@
 // With -cache-dir, every executed measurement is journaled crash-safe
 // on disk and reused by later runs under the same configuration; with
 // -resume, an interrupted run additionally restarts from its last
-// completed pipeline stage and produces byte-identical output.
+// completed pipeline stage and produces byte-identical output. One
+// process owns a cache directory at a time: a second zeninfer pointed
+// at a directory in use fails fast.
 //
 // With -chaos, the machine is wrapped in a deterministic seeded
 // fault-injection regime (transient errors, hangs, outlier spikes,
@@ -32,19 +34,6 @@
 // the measurements are mutually inconsistent, the minimal conflicting
 // experiment set is isolated and its least trustworthy measurements
 // are re-measured and relaxed by up to the given error-bound slack.
-//
-// With -shards N -shard-id I, the process runs one shard of a
-// distributed campaign rooted at -cache-dir: the scheme universe is
-// deterministically partitioned into N slices, this process runs
-// slice I (stages 1–3 run in full — they are global and byte-identical
-// across shards — stage 4 is restricted to the slice), and afterwards
-// steals the slices of crashed or hung peers via crash-tolerant lease
-// takeover. Start one zeninfer per shard id with identical
-// configuration flags; any subset of them dying — SIGKILL included —
-// costs no data. -merge then validates fingerprints across the shard
-// results and journals and merges them into one mapping and one
-// compacted snapshot; slices no shard completed degrade the merged
-// mapping (their schemes are listed unresolved) instead of failing it.
 package main
 
 import (
@@ -85,9 +74,6 @@ func run() error {
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
 	solverBudget := flag.Uint64("solver-budget", 0, "max CDCL conflicts per solver query; exhausted queries degrade to a partial mapping (0 = unlimited)")
 	maxSlack := flag.Float64("max-slack", 0, "max per-measurement error-bound relaxation for UNSAT-core recovery (0 = disabled)")
-	shards := flag.Int("shards", 0, "run as one shard of an N-shard campaign rooted at -cache-dir (requires -shard-id)")
-	shardID := flag.Int("shard-id", -1, "this process's shard id in [0,N) (with -shards)")
-	merge := flag.Bool("merge", false, "merge the sharded campaign at -cache-dir into one mapping and snapshot, then exit")
 	out := flag.String("out", "", "write the final mapping to this JSON file")
 	witnesses := flag.Bool("witnesses", false, "print the CEGAR witness experiments")
 	quiet := flag.Bool("q", false, "suppress progress logging")
@@ -96,21 +82,6 @@ func run() error {
 	if *resume && *cacheDir == "" {
 		return fmt.Errorf("-resume requires -cache-dir")
 	}
-	sharded := *shards != 0 || *shardID >= 0
-	if sharded {
-		if *shards < 1 || *shardID < 0 || *shardID >= *shards {
-			return fmt.Errorf("sharded mode wants -shards N >= 1 and -shard-id in [0,N); got -shards %d -shard-id %d", *shards, *shardID)
-		}
-		if *cacheDir == "" {
-			return fmt.Errorf("-shards requires -cache-dir (the campaign root)")
-		}
-		if *merge {
-			return fmt.Errorf("-merge cannot be combined with -shards; merge after the shard processes finish")
-		}
-	}
-	if *merge && *cacheDir == "" {
-		return fmt.Errorf("-merge requires -cache-dir (the campaign root)")
-	}
 
 	db := zenport.ZenDB()
 	n := *noise
@@ -118,41 +89,28 @@ func run() error {
 		n = -1
 	}
 
-	s := &session{quiet: *quiet}
-	// Each campaign slice builds a fresh machine and harness: the
-	// simulated noise and fault streams derive per (seed, kernel,
-	// execution index), so a stolen slice replays the exact streams its
-	// dead owner saw.
-	s.newHarness = func() (*zenport.Harness, *zenport.ChaosProcessor, string) {
-		machine := zenport.NewZenMachine(db, zenport.SimConfig{Noise: n, Seed: *seed})
-		var proc zenport.Processor = machine
-		var fper zenport.Fingerprinter = machine
-		var cp *zenport.ChaosProcessor
-		if *chaosOn {
-			cp = zenport.WrapChaos(machine, *chaosSeed, zenport.DefaultChaosRegime())
-			proc, fper = cp, cp
-		}
-		h := zenport.NewHarness(proc)
-		h.Workers = *parallel
-		return h, cp, zenport.RunFingerprint(fper, h.Engine)
+	machine := zenport.NewZenMachine(db, zenport.SimConfig{Noise: n, Seed: *seed})
+	var proc zenport.Processor = machine
+	var fper zenport.Fingerprinter = machine
+	var cp *zenport.ChaosProcessor
+	if *chaosOn {
+		cp = zenport.WrapChaos(machine, *chaosSeed, zenport.DefaultChaosRegime())
+		proc, fper = cp, cp
 	}
-	s.baseOpts = func() zenport.Options {
-		opts := zenport.DefaultOptions()
-		if !*quiet {
-			opts.Log = func(format string, args ...any) { log.Printf(format, args...) }
-		}
-		opts.SolverBudget = zenport.SolverBudget{MaxConflicts: *solverBudget}
-		opts.MaxSlack = *maxSlack
-		return opts
-	}
+	h := zenport.NewHarness(proc)
+	h.Workers = *parallel
+	fp := zenport.RunFingerprint(fper, h.Engine)
 
-	s.schemes = zenport.ZenSchemes(db)
-	if *maxSchemes > 0 && *maxSchemes < len(s.schemes) {
-		s.schemes = s.schemes[:*maxSchemes]
+	opts := zenport.DefaultOptions()
+	if !*quiet {
+		opts.Log = func(format string, args ...any) { log.Printf(format, args...) }
 	}
+	opts.SolverBudget = zenport.SolverBudget{MaxConflicts: *solverBudget}
+	opts.MaxSlack = *maxSlack
 
-	if *merge {
-		return runMerge(s, *cacheDir, *out)
+	schemes := zenport.ZenSchemes(db)
+	if *maxSchemes > 0 && *maxSchemes < len(schemes) {
+		schemes = schemes[:*maxSchemes]
 	}
 
 	// SIGINT/SIGTERM cancel the inference context: measurement batches
@@ -166,17 +124,9 @@ func run() error {
 		defer cancel()
 	}
 
-	if sharded {
-		return runSharded(ctx, s, *cacheDir, *shards, *shardID)
-	}
-
-	h, cp, fp := s.newHarness()
-	opts := s.baseOpts()
-
 	if *cacheDir != "" {
-		// The exclusive directory lock makes two non-sharded processes
-		// on one cache fail fast instead of interleaving journals;
-		// sharded campaigns coordinate through leases instead.
+		// The exclusive directory lock makes two processes on one cache
+		// fail fast instead of interleaving journals.
 		lk, err := zenport.LockCacheDir(*cacheDir)
 		if err != nil {
 			return err
@@ -201,7 +151,7 @@ func run() error {
 		opts.Resume = *resume
 	}
 
-	rep, err := zenport.InferContext(ctx, h, s.schemes, opts)
+	rep, err := zenport.InferContext(ctx, h, schemes, opts)
 	if err != nil {
 		return fmt.Errorf("inference failed: %w", err)
 	}
@@ -235,128 +185,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("final mapping written to %s\n", *out)
-	}
-	return nil
-}
-
-// session bundles the flag-derived configuration the sharded paths
-// re-instantiate per slice: scheme list, harness factory, and pipeline
-// options factory.
-type session struct {
-	schemes    []zenport.Scheme
-	newHarness func() (*zenport.Harness, *zenport.ChaosProcessor, string)
-	baseOpts   func() zenport.Options
-	quiet      bool
-}
-
-// runSharded participates in the campaign at dir as shard shardID of
-// shards: its own slice first, then stolen slices of dead or hung
-// peers, until every slice has a result.
-func runSharded(ctx context.Context, s *session, dir string, shards, shardID int) error {
-	_, _, fp := s.newHarness()
-	universe := make([]string, 0, len(s.schemes))
-	for i := range s.schemes {
-		universe = append(universe, s.schemes[i].Key())
-	}
-	man, err := zenport.EnsureShardManifest(dir, fp, shards, universe)
-	if err != nil {
-		return err
-	}
-	cfg := zenport.ShardConfig{
-		Dir:      dir,
-		Owner:    fmt.Sprintf("shard%d-pid%d", shardID, os.Getpid()),
-		ShardID:  shardID,
-		Manifest: man,
-		Run: func(ctx context.Context, sr *zenport.ShardRun) (*zenport.ShardOutcome, error) {
-			return runSlice(ctx, s, fp, sr)
-		},
-		Steal: true,
-	}
-	if !s.quiet {
-		cfg.Log = func(format string, args ...any) { log.Printf(format, args...) }
-	}
-	st, err := zenport.RunShard(ctx, cfg)
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", shardID, err)
-	}
-	fmt.Printf("shard %d done: completed slices %v (stolen %v, observed done %v, lost %d)\n",
-		shardID, st.Completed, st.Stolen, st.ObservedDone, st.LostSlices)
-	fmt.Printf("campaign complete; merge with: zeninfer -cache-dir %s -merge [-out mapping.json]\n", dir)
-	return nil
-}
-
-// runSlice executes one owned campaign slice: a fresh harness, the
-// slice's persist store under the lease's writer epoch, slice-local
-// checkpoints with resume on (a stolen slice continues from its dead
-// owner's checkpoints), and stage 4 restricted to the slice.
-func runSlice(ctx context.Context, s *session, fp string, sr *zenport.ShardRun) (*zenport.ShardOutcome, error) {
-	h, _, hfp := s.newHarness()
-	if hfp != fp {
-		return nil, fmt.Errorf("slice %d: configuration fingerprint changed mid-run", sr.Index)
-	}
-	store, err := zenport.OpenCacheEpoch(sr.Dir, fp, sr.Epoch)
-	if err != nil {
-		return nil, fmt.Errorf("slice %d cache: %w", sr.Index, err)
-	}
-	defer store.Close()
-	if !s.quiet {
-		store.SetLog(log.Printf)
-	}
-	if err := store.Attach(h.Engine); err != nil {
-		return nil, fmt.Errorf("slice %d cache: %w", sr.Index, err)
-	}
-	ck, err := zenport.NewCheckpointer(sr.Dir, fp)
-	if err != nil {
-		return nil, fmt.Errorf("slice %d checkpoints: %w", sr.Index, err)
-	}
-	opts := s.baseOpts()
-	opts.Checkpointer = ck
-	opts.Resume = true
-	opts.CharacterizeFilter = sr.Filter
-	sr.SetProgress(h.Engine.Progress)
-	rep, err := zenport.InferContext(ctx, h, s.schemes, opts)
-	if err != nil {
-		return nil, err
-	}
-	exc := make(map[string]string, len(rep.Excluded))
-	for k, r := range rep.Excluded {
-		exc[k] = string(r)
-	}
-	return &zenport.ShardOutcome{Mapping: rep.Final, Unresolved: rep.Unresolved, Excluded: exc}, nil
-}
-
-// runMerge validates and merges the campaign at dir under the current
-// configuration's fingerprint and reports degradation instead of
-// hiding it.
-func runMerge(s *session, dir, out string) error {
-	_, _, fp := s.newHarness()
-	lk, err := zenport.LockCacheDir(dir)
-	if err != nil {
-		return err
-	}
-	defer lk.Unlock()
-	rep, err := zenport.MergeShards(dir, fp, log.Printf)
-	if err != nil {
-		return fmt.Errorf("merge: %w", err)
-	}
-	fmt.Printf("merged %d slice(s): mapping covers %d schemes, %d measurement records compacted at the campaign root\n",
-		rep.Slices, len(rep.Mapping.Usage), rep.Records)
-	if rep.Degraded() {
-		fmt.Printf("DEGRADED: slice(s) %v never reported; their schemes are unresolved, re-run those shards and merge again\n",
-			rep.MissingSlices)
-	}
-	if len(rep.Unresolved) > 0 {
-		fmt.Printf("unresolved schemes (%d, absent from the mapping): %v\n", len(rep.Unresolved), rep.Unresolved)
-	}
-	if out != "" {
-		data, err := json.MarshalIndent(rep.Mapping, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("merged mapping written to %s\n", out)
 	}
 	return nil
 }

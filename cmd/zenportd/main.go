@@ -85,7 +85,7 @@ func (m *mappingFlags) Set(v string) error {
 // — log.Fatalf or os.Exit inside the work (the old shape) skipped the
 // defers, so an error during a drain left resources behind and made it
 // impossible to ever attach cleanup that must run (a persist store's
-// Close, a lease release).
+// Close, a cache-directory unlock).
 func main() {
 	if err := run(); err != nil {
 		log.Fatalf("zenportd: %v", err)

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,21 +110,6 @@ type Regime struct {
 	// the deterministic targeting used by tests that need a known
 	// inconsistency.
 	LieExact []string
-	// CrashAfterCalls, when positive, kills the process after that many
-	// successful inner executions — the process-kill fault class the
-	// sharded-campaign soak uses to SIGKILL a shard mid-run. Unlike
-	// every other fault it does not corrupt a measurement; it ends the
-	// process, so it is deliberately absent from Fingerprint (just like
-	// the engine's worker count): the surviving shard that steals the
-	// dead one's slice runs the same regime without the crash and must
-	// see the dead shard's journal as its own.
-	CrashAfterCalls uint64
-	// CrashFn replaces the crash action. The default is a hard
-	// os.Exit(137) — the status of a SIGKILLed process — which runs no
-	// deferred functions and flushes nothing, exactly like the real
-	// signal (the kernel still releases the process's flocks, which is
-	// what lease takeover relies on). Tests inject a recording stand-in.
-	CrashFn func()
 }
 
 // DefaultRegime is the documented soak regime: 2% transient errors,
@@ -350,9 +334,7 @@ func (p *Processor) ExecuteContext(ctx context.Context, kernel []string, iterati
 	p.rounds[kh] = n + 1
 	delete(p.pending, kh)
 	p.mu.Unlock()
-	if total := p.nRounds.Add(1); p.regime.CrashAfterCalls > 0 && total == p.regime.CrashAfterCalls {
-		p.crash()
-	}
+	p.nRounds.Add(1)
 
 	if p.isLiar(kernel, kh) {
 		p.lies.Add(1)
@@ -377,19 +359,6 @@ func (p *Processor) ExecuteContext(ctx context.Context, kernel []string, iterati
 		c.Cycles *= 1 + a*math.Sin(2*math.Pi*float64(n)/float64(p.regime.DriftPeriod))
 	}
 	return c, nil
-}
-
-// crash executes the regime's process-kill action. With no CrashFn
-// configured the process dies on the spot with exit status 137, the
-// shell's encoding of SIGKILL: no deferred cleanup, no journal
-// compaction, no lease release beyond what the kernel does for any
-// dead process.
-func (p *Processor) crash() {
-	if p.regime.CrashFn != nil {
-		p.regime.CrashFn()
-		return
-	}
-	os.Exit(137)
 }
 
 // isLiar reports whether the kernel lies consistently under this

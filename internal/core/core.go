@@ -268,20 +268,6 @@ type Options struct {
 	// re-running them. Without it, existing checkpoints are cleared at
 	// the start of the run.
 	Resume bool
-	// CharacterizeFilter, when non-nil, restricts stage 4 (and the
-	// unresolved-scheme retry) to the scheme keys it accepts. Stages
-	// 1–3 always run over the full universe — the blocking suite and
-	// its CEGAR mapping are global prerequisites — but
-	// characterization is embarrassingly parallel per scheme, so a
-	// sharded campaign gives each shard a filter accepting only its
-	// slice. Filtered-out schemes are simply absent from the report
-	// (not Unresolved, not Excluded): they are some other shard's
-	// responsibility, and the campaign merge accounts for slices that
-	// never report. Because each scheme's measurements are independent
-	// of which other schemes run (per-kernel noise derivation), a
-	// filtered run's per-scheme results are byte-identical to an
-	// unfiltered run's.
-	CharacterizeFilter func(key string) bool
 	// Log, if non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }

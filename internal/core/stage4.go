@@ -110,18 +110,15 @@ func blockerKeys(blockers []blockerDesc) map[string]bool {
 }
 
 // characterizable reports whether stage 4 can characterize key against
-// the blocking suite blockerSet: a measured scheme that uses ports, is
-// neither a blocker itself nor covered by the blocker mapping, and
-// passes CharacterizeFilter.
+// the blocking suite blockerSet: a measured scheme that uses ports and
+// is neither a blocker itself nor covered by the blocker mapping.
 func (p *Pipeline) characterizable(rep *Report, blockerSet map[string]bool, key string) bool {
 	info, ok := rep.Info[key]
 	if !ok || info.NoPorts || blockerSet[key] {
 		return false
 	}
-	if _, isBlocked := rep.BlockerMapping.Usage[key]; isBlocked {
-		return false
-	}
-	return p.Opts.CharacterizeFilter == nil || p.Opts.CharacterizeFilter(key)
+	_, isBlocked := rep.BlockerMapping.Usage[key]
+	return !isBlocked
 }
 
 // characterizeRun is one characterization run over todo, measured

@@ -161,8 +161,6 @@ func TestOptionsAnswerKeyCoversEveryField(t *testing.T) {
 		"Checkpointer": {"where progress is kept, not what it is", func(o *Options) { o.Checkpointer = ck }},
 		"Resume":       {"whether kept progress is reused", func(o *Options) { o.Resume = true }},
 		"Log":          {"progress lines only", func(o *Options) { o.Log = t.Logf }},
-		"CharacterizeFilter": {"a sharded slice keeps its checkpoint in its own directory",
-			func(o *Options) { o.CharacterizeFilter = func(string) bool { return false } }},
 	}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {

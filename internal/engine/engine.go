@@ -827,15 +827,6 @@ func (g *Engine) MeasurementCount() int {
 	return int(g.executed.Load())
 }
 
-// Progress returns a cheap monotonically increasing activity counter:
-// it advances whenever the engine does work (processor calls, cache
-// hits, completed measurements). The shard lease heartbeat publishes
-// it so peers can distinguish a slow shard (counter advancing) from a
-// hung or dead one (counter frozen) without interpreting the value.
-func (g *Engine) Progress() uint64 {
-	return g.procCalls.Load() + g.cacheHits.Load() + g.completed.Load()
-}
-
 // Metrics returns a snapshot of the engine's counters.
 func (g *Engine) Metrics() Metrics {
 	m := Metrics{

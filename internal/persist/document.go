@@ -10,13 +10,12 @@ import (
 
 // A sealed document is the on-disk form of every persisted artifact
 // that is rewritten whole rather than appended to: the store's
-// snapshot, the pipeline checkpoint, and the shard layer's campaign
-// manifest and slice results. Its first line is a JSON Header — format
-// version, configuration fingerprint, CRC-32C of the payload — and the
-// rest of the file is the payload JSON. Documents are written
-// atomically, so a reader sees the old or the new file, never a torn
-// mix; the checksum catches what atomicity cannot (bit rot, a
-// truncated or hand-edited copy).
+// snapshot and the pipeline checkpoint. Its first line is a JSON
+// Header — format version, configuration fingerprint, CRC-32C of the
+// payload — and the rest of the file is the payload JSON. Documents
+// are written atomically, so a reader sees the old or the new file,
+// never a torn mix; the checksum catches what atomicity cannot (bit
+// rot, a truncated or hand-edited copy).
 
 // WriteDocument encodes v and writes it to path as a sealed document,
 // atomically.
@@ -25,7 +24,7 @@ func WriteDocument(path, fingerprint string, v any) error {
 	if err != nil {
 		return err
 	}
-	return AtomicWrite(path, seal(fingerprint, payload), payload)
+	return atomicWrite(path, seal(fingerprint, payload), payload)
 }
 
 // seal renders the header line that precedes payload in a document.
@@ -74,11 +73,11 @@ func decodeDocument(data []byte, fingerprint string, v any) error {
 	return nil
 }
 
-// AtomicWrite writes the concatenated chunks to path via a temp file
+// atomicWrite writes the concatenated chunks to path via a temp file
 // in the same directory: write, fsync, rename — so readers observe
-// either the old or the new content, never a torn mix. Files read
-// without locks (documents, the shard lease) are written through it.
-func AtomicWrite(path string, chunks ...[]byte) error {
+// either the old or the new content, never a torn mix. Every sealed
+// document is written through it.
+func atomicWrite(path string, chunks ...[]byte) error {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

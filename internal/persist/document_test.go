@@ -12,8 +12,6 @@ import (
 
 	"zenport/internal/engine"
 	"zenport/internal/persist"
-	"zenport/internal/portmodel"
-	"zenport/internal/shard"
 )
 
 const docFP = "test:v1 seed=1 noise=0.001"
@@ -166,10 +164,7 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		read: func(dir string) error {
-			_, err := persist.ReadState(dir, docFP)
-			return err
-		},
+		read: func(dir string) error { return persist.LoadStateErr(dir, docFP) },
 		extra: []corruptRow{{
 			name: "record with empty key",
 			mutate: func(t *testing.T, header, payload []byte) []byte {
@@ -204,42 +199,5 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 			}
 			return err
 		},
-	})
-}
-
-func TestSliceResultCorruptInputs(t *testing.T) {
-	testCorruptDocument(t, document{
-		file: "result.json",
-		write: func(t *testing.T, dir string) {
-			m := portmodel.NewMapping(4)
-			m.Set("add", portmodel.Usage{{Ports: portmodel.MakePortSet(0, 1), Count: 1}})
-			if err := shard.WriteSliceResult(dir, docFP, &shard.SliceResult{Shards: 1, Mapping: m}); err != nil {
-				t.Fatal(err)
-			}
-		},
-		read: func(dir string) error {
-			r, err := shard.ReadSliceResult(dir, docFP, 0)
-			if err == nil && r == nil {
-				err = errors.New("slice result not found")
-			}
-			return err
-		},
-	})
-}
-
-func TestManifestCorruptInputs(t *testing.T) {
-	universe := []string{"add", "imul", "vpor"}
-	ensure := func(dir string) error {
-		_, err := shard.EnsureManifest(dir, docFP, 2, universe)
-		return err
-	}
-	testCorruptDocument(t, document{
-		file: "campaign.json",
-		write: func(t *testing.T, dir string) {
-			if err := ensure(dir); err != nil {
-				t.Fatal(err)
-			}
-		},
-		read: ensure,
 	})
 }

@@ -7,12 +7,7 @@ import "os"
 // flockSupported reports whether advisory file locks actually exclude
 // other processes on this platform. Without flock the lock files are
 // still created — so the code paths stay identical — but exclusion is
-// not enforced; the distributed-shard machinery documents that it
-// requires a unix platform for its crash-tolerance guarantees.
+// not enforced.
 const flockSupported = false
 
 func flockTry(f *os.File) (bool, error) { return true, nil }
-
-func flockWait(f *os.File) error { return nil }
-
-func flockRelease(f *os.File) error { return nil }

@@ -14,12 +14,10 @@ const flockSupported = true
 // flockTry acquires an exclusive advisory lock on f without blocking.
 // It returns (false, nil) when another process holds the lock.
 //
-// BSD flock semantics are exactly what the lease protocol needs: the
-// lock is attached to the open file description, so it is released by
-// the kernel the instant the holding process dies — including SIGKILL,
-// which runs no handlers and flushes nothing. A killed shard therefore
-// frees its locks immediately, while a merely hung shard keeps them
-// (that case is what the lease heartbeat counter is for).
+// BSD flock semantics are what LockDir needs: the lock is attached to
+// the open file description, so the kernel releases it the instant
+// the holding process dies — including SIGKILL, which runs no handlers
+// and flushes nothing.
 func flockTry(f *os.File) (bool, error) {
 	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
 	if err == syscall.EWOULDBLOCK {
@@ -29,24 +27,4 @@ func flockTry(f *os.File) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// flockWait acquires an exclusive advisory lock on f, blocking until
-// the current holder releases it (or dies).
-func flockWait(f *os.File) error {
-	for {
-		err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
-		// Flock can be interrupted by signals; the lock is not held
-		// then, so retry rather than report a spurious failure.
-		if err != syscall.EINTR {
-			return err
-		}
-	}
-}
-
-// flockRelease drops the advisory lock on f. Closing the file releases
-// it too; the explicit form exists for lock cyclers that keep the file
-// open.
-func flockRelease(f *os.File) error {
-	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }

@@ -13,34 +13,25 @@ const lockFileName = ".zenport.lock"
 // FileLock is an exclusive advisory lock on one file, held for the
 // life of the open descriptor. The kernel releases it when the process
 // exits — by any means, including SIGKILL — so a dead holder never
-// leaves a stale lock behind. A hung holder does keep it; callers that
-// must survive hung peers (the shard lease protocol) layer a heartbeat
-// on top instead of waiting on the flock.
+// leaves a stale lock behind.
 type FileLock struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
-// Path returns the lock file's path.
-func (l *FileLock) Path() string { return l.path }
-
-// Unlock releases the lock and closes the file. Safe to call twice.
+// Unlock releases the lock by closing the file. Safe to call twice.
 func (l *FileLock) Unlock() error {
 	if l == nil || l.f == nil {
 		return nil
 	}
-	err := flockRelease(l.f)
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
+	err := l.f.Close()
 	l.f = nil
 	return err
 }
 
-// TryLockFile acquires an exclusive lock on path without blocking,
+// tryLockFile acquires an exclusive lock on path without blocking,
 // creating the file if needed. It returns (nil, nil) when another
 // process holds the lock.
-func TryLockFile(path string) (*FileLock, error) {
+func tryLockFile(path string) (*FileLock, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -54,31 +45,14 @@ func TryLockFile(path string) (*FileLock, error) {
 		f.Close()
 		return nil, nil
 	}
-	return &FileLock{f: f, path: path}, nil
-}
-
-// LockFile acquires an exclusive lock on path, blocking until the
-// current holder releases it or dies.
-func LockFile(path string) (*FileLock, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := flockWait(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileLock{f: f, path: path}, nil
+	return &FileLock{f: f}, nil
 }
 
 // LockDir takes the exclusive-use lock of a cache directory, creating
 // the directory if needed. Two processes pointed at the same cache
 // directory would interleave journal appends and race snapshot
 // compactions — silent corruption at worst, invalidated caches at
-// best — so non-sharded runs fail fast here with a clear error
-// instead. Sharded campaigns do not take this lock: their slice
-// directories are single-writer by the lease protocol, and concurrent
-// shard processes in one campaign directory are the whole point.
+// best — so the second one fails fast here with a clear error instead.
 //
 // The lock dies with the process (flock semantics), so a crashed run
 // never wedges the directory.
@@ -86,13 +60,13 @@ func LockDir(dir string) (*FileLock, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l, err := TryLockFile(filepath.Join(dir, lockFileName))
+	l, err := tryLockFile(filepath.Join(dir, lockFileName))
 	if err != nil {
 		return nil, fmt.Errorf("persist: locking cache directory %s: %w", dir, err)
 	}
 	if l == nil {
 		return nil, fmt.Errorf("persist: cache directory %s is in use by another process (it holds %s); "+
-			"point this run at its own -cache-dir, or use sharded mode (-shards/-shard-id) to share a campaign directory safely", dir, lockFileName)
+			"point this run at its own -cache-dir", dir, lockFileName)
 	}
 	return l, nil
 }

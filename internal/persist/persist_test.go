@@ -389,7 +389,7 @@ func TestStoreInvalidatesStaleState(t *testing.T) {
 			}
 			// The fresh store must be fully usable.
 			s.Record(0, "1*add", engine.Result{InvThroughput: 0.25, Runs: 11})
-			if err := s.Compact(); err != nil {
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -34,7 +34,6 @@ import (
 	"zenport/internal/portmodel"
 	"zenport/internal/sat"
 	"zenport/internal/serve"
-	"zenport/internal/shard"
 	"zenport/internal/smt"
 	"zenport/internal/zen"
 	"zenport/internal/zensim"
@@ -137,26 +136,6 @@ type (
 	// released automatically by the kernel if the process dies.
 	CacheLock = persist.FileLock
 
-	// ShardManifest pins a sharded campaign's configuration:
-	// fingerprint, shard count, and the deterministic partition of the
-	// scheme universe.
-	ShardManifest = shard.Manifest
-	// ShardConfig configures one shard process's campaign
-	// participation (owner identity, home slice, work stealing).
-	ShardConfig = shard.Config
-	// ShardRun is the work order handed to a shard's pipeline
-	// callback: one owned slice, its writer epoch, and the stage-4
-	// filter.
-	ShardRun = shard.SliceRun
-	// ShardOutcome is what the pipeline callback returns for a
-	// completed slice.
-	ShardOutcome = shard.Outcome
-	// ShardStatus summarizes a shard process's run: completed, stolen,
-	// and observed slices.
-	ShardStatus = shard.Status
-	// ShardMergeReport is the outcome of merging a campaign directory.
-	ShardMergeReport = shard.MergeReport
-
 	// MappingServer is the HTTP/JSON handler serving loaded port
 	// mappings: throughput predictions bit-identical to the batch
 	// evaluator, per-scheme explanations with bottleneck witnesses, and
@@ -168,12 +147,6 @@ type (
 	// ReloadResult reports a completed hot mapping reload (generation,
 	// content fingerprint, whether the prediction cache was retained).
 	ReloadResult = serve.ReloadResult
-	// ServeFaultRegime configures deterministic serving-fault injection
-	// (evaluator stalls and panics) for chaos soaks of the daemon.
-	ServeFaultRegime = chaos.ServeRegime
-	// ServeFaults injects a ServeFaultRegime via
-	// MappingServerConfig.EvalHook.
-	ServeFaults = chaos.ServeFaults
 )
 
 // MakePortSet builds a PortSet from port indices.
@@ -204,10 +177,6 @@ func NewMappingServer(cfg MappingServerConfig) *MappingServer { return serve.New
 // ParseKernel parses the CLI kernel syntax "N*key; M*key" (the format
 // zenmap -predict and the serving API accept) into an experiment.
 func ParseKernel(s string) (Experiment, error) { return serve.ParseKernel(s) }
-
-// NewServeFaults returns a serving-fault injector for the regime;
-// plug its Eval method into MappingServerConfig.EvalHook.
-func NewServeFaults(regime ServeFaultRegime) *ServeFaults { return chaos.NewServeFaults(regime) }
 
 // ZenDB builds the Zen+ instruction scheme database with ground
 // truth (1,100+ schemes).
@@ -292,49 +261,11 @@ func NewCheckpointer(dir, fingerprint string) (*Checkpointer, error) {
 	return persist.NewCheckpointer(dir, fingerprint)
 }
 
-// OpenCacheEpoch is OpenCache under an explicit writer epoch: each
-// lease takeover of a campaign slice opens the slice's store under a
-// fresh epoch, so a displaced-but-alive predecessor can never corrupt
-// the new owner's journal. Recovery merges all epochs.
-func OpenCacheEpoch(dir, fingerprint string, epoch uint64) (*CacheStore, error) {
-	return persist.OpenEpoch(dir, fingerprint, epoch)
-}
-
 // LockCacheDir takes the exclusive advisory lock of a cache directory
 // (creating it if needed). A second process opening the same directory
 // fails fast with a diagnostic instead of interleaving journal writes.
-// Sharded campaign slices are coordinated by leases instead and do not
-// take this lock.
 func LockCacheDir(dir string) (*CacheLock, error) {
 	return persist.LockDir(dir)
-}
-
-// EnsureShardManifest creates — or validates against — the manifest of
-// a sharded campaign directory: the deterministic partition of the
-// scheme-key universe into one slice per shard, pinned to the run
-// fingerprint. Concurrent shard processes racing to create it agree on
-// exactly one partition.
-func EnsureShardManifest(dir, fingerprint string, shards int, universe []string) (*ShardManifest, error) {
-	return shard.EnsureManifest(dir, fingerprint, shards, universe)
-}
-
-// RunShard participates in a sharded campaign until this shard's work
-// is done: its own slice first, then — with cfg.Steal — dead or hung
-// peers' slices via crash-tolerant lease takeover, until every slice
-// has a result.
-func RunShard(ctx context.Context, cfg ShardConfig) (*ShardStatus, error) {
-	return shard.Run(ctx, cfg)
-}
-
-// MergeShards validates fingerprints across a campaign's slice results
-// and persisted journals and merges them into one mapping and one
-// compacted snapshot at the campaign root. Slices that never reported
-// degrade the merge (their schemes are flagged unresolved) instead of
-// failing it. Callers must hold LockCacheDir on the campaign root.
-// log receives the campaign-root store's notices (a discarded stale or
-// corrupt snapshot or journal); nil drops them.
-func MergeShards(dir, fingerprint string, log func(format string, args ...any)) (*ShardMergeReport, error) {
-	return shard.Merge(dir, fingerprint, log)
 }
 
 // ErrBudgetExhausted reports that a solver query stopped because its
