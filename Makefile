@@ -14,12 +14,13 @@ test:
 # The concurrency-heavy packages under the race detector: the batch
 # engine (worker pool, cache, persist hook, in-flight dedup), the chaos
 # wrapper, the pipeline on top of them (kill-and-resume golden tests),
-# the serving layer (evaluator pool, prediction LRU, HTTP hammer), and
+# the on-disk store (journal writes from the engine's workers), the
+# serving layer (evaluator pool, prediction LRU, HTTP hammer), and
 # the SMT layer, whose cancellable, budgeted queries run inside those
 # pipelines. The SMT layer starts no goroutines of its own; racing it
 # is a cheap guard against shared state creeping in unnoticed.
 race:
-	$(GO) test -race -timeout 20m ./internal/engine/... ./internal/chaos/... ./internal/core/... ./internal/serve/... ./internal/smt/...
+	$(GO) test -race -timeout 20m ./internal/engine/... ./internal/chaos/... ./internal/core/... ./internal/persist/... ./internal/serve/... ./internal/smt/...
 
 # serve-smoke boots the zenportd HTTP stack in-process under the race
 # detector and replays a mixed 64-client query stream against it,
@@ -32,15 +33,15 @@ serve-smoke:
 
 # serve-chaos-soak is the serving-robustness soak under the race
 # detector: a deliberately tiny admission gate (-overload) so the
-# stream genuinely sheds, seeded evaluator stalls plus one
-# deterministic injected panic (-chaos), a per-request deadline
-# budget, slow clients trickling request bodies, and one SIGHUP hot
+# stream genuinely sheds, a 250ms X-Zenport-Deadline budget on every
+# request, slow clients trickling request bodies, and one SIGHUP hot
 # reload mid-traffic. The daemon must never crash or deadlock, every
-# non-shed prediction must verify bit-identical to the batch
-# evaluator, and shed/degraded responses must carry Retry-After.
+# 200 prediction must verify bit-identical to the batch evaluator,
+# every shed response must carry Retry-After, and the reload must land
+# at generation 2.
 serve-chaos-soak:
 	$(GO) run -race ./cmd/zenload -self -mapping zen=mapping.json -clients 64 -requests 4000 -verify \
-		-overload -chaos -chaos-seed 7 -deadline 250ms -slow-clients 4 -reload-at 800
+		-overload -deadline 250ms -slow-clients 4 -reload-at 800
 
 # soak runs the chaos-hardened inference end to end under the race
 # detector: full pipeline under ≈2% transients, hangs, 10× outlier

@@ -16,16 +16,14 @@
 // race detector.
 //
 // zenload is also the serving-robustness soak (`make
-// serve-chaos-soak`): -overload shrinks the admission gate so the
-// stream genuinely sheds, -chaos injects seeded evaluator stalls and
-// one deterministic panic (internal/chaos.ServeFaults), -deadline
-// stamps every request with an X-Zenport-Deadline budget,
-// -slow-clients trickles request bodies, and -reload-at fires a
-// SIGHUP hot reload mid-traffic. Responses are classified by status —
-// shed (429), degraded (503), timeout (504), canceled (499),
-// panicked (500 under -chaos) — shed/degraded responses must carry
-// Retry-After, non-200s are excluded from the latency quantiles, and
-// every 200 prediction must still verify bit-identical.
+// serve-chaos-soak`): -overload shrinks the admission gate and the LRU
+// so the stream genuinely sheds, -deadline stamps every request with
+// an X-Zenport-Deadline budget, -slow-clients trickles request bodies,
+// and -reload-at fires a SIGHUP hot reload mid-traffic. Responses are
+// classified by status — shed (429), timeout (504), canceled (499) —
+// shed responses must carry Retry-After, non-200s are excluded from
+// the latency quantiles, and every 200 prediction must still verify
+// bit-identical.
 package main
 
 import (
@@ -48,7 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"zenport/internal/chaos"
 	"zenport/internal/portmodel"
 	"zenport/internal/serve"
 )
@@ -113,10 +110,8 @@ func (r *slowReader) Read(p []byte) (int, error) {
 type tally struct {
 	ok       atomic.Uint64
 	shed     atomic.Uint64 // 429
-	degraded atomic.Uint64 // 503
 	timeout  atomic.Uint64 // 504
 	canceled atomic.Uint64 // 499
-	panicked atomic.Uint64 // 500 with an injected panic (chaos mode)
 	failures atomic.Uint64
 	verified atomic.Uint64
 }
@@ -134,9 +129,7 @@ func main() {
 	verify := flag.Bool("verify", false, "check every prediction bit-identical to the batch evaluator")
 	deadline := flag.Duration("deadline", 0, "X-Zenport-Deadline header stamped on every request (0 = none)")
 	slowClients := flag.Int("slow-clients", 0, "clients that trickle their request bodies byte-chunks at a time")
-	overload := flag.Bool("overload", false, "with -self, shrink the admission gate so the stream genuinely sheds")
-	chaosOn := flag.Bool("chaos", false, "with -self, inject seeded evaluator stalls and one deterministic panic")
-	chaosSeed := flag.Int64("chaos-seed", 7, "serving-fault regime seed")
+	overload := flag.Bool("overload", false, "with -self, shrink the admission gate and the LRU so the stream genuinely sheds")
 	reloadAt := flag.Int64("reload-at", 0, "with -self, fire a SIGHUP hot reload after this many completed responses (0 = never)")
 	flag.Var(&mappings, "mapping", "name=path of a mapping JSON (repeatable; first is the query target)")
 	flag.Parse()
@@ -147,8 +140,8 @@ func main() {
 	if (*url == "") == !*self {
 		log.Fatal("zenload: specify exactly one of -url and -self")
 	}
-	if (*overload || *chaosOn || *reloadAt > 0) && !*self {
-		log.Fatal("zenload: -overload, -chaos, and -reload-at require -self (they configure the in-process daemon)")
+	if (*overload || *reloadAt > 0) && !*self {
+		log.Fatal("zenload: -overload and -reload-at require -self (they configure the in-process daemon)")
 	}
 
 	loaded := make(map[string]*portmodel.Mapping, len(mappings))
@@ -167,22 +160,20 @@ func main() {
 	tm := loaded[target]
 
 	base := *url
-	var faults *chaos.ServeFaults
 	if *self {
 		cfg := serve.Config{Rmax: *rmax}
 		if *overload {
 			// A gate small enough that this stream genuinely saturates
 			// it: the soak asserts shedding actually happened. One
 			// evaluator slot plus a one-deep queue means any three
-			// overlapping cache misses shed the third — guaranteed
-			// during the cold-start burst when every client misses.
+			// overlapping cache misses shed the third. An evaluation
+			// takes microseconds, so the LRU is shrunk too: a 16-entry
+			// cache over the 200-experiment stream sends about 40 % of
+			// the requests to the gate, which then sheds hundreds.
 			cfg.MaxConcurrent = 1
 			cfg.MaxQueue = 1
+			cfg.CacheSize = 16
 			cfg.QueueTimeout = 2 * time.Millisecond
-		}
-		if *chaosOn {
-			faults = chaos.NewServeFaults(chaos.DefaultServeRegime(*chaosSeed))
-			cfg.EvalHook = faults.Eval
 		}
 		srv := serve.New(cfg)
 		for name, m := range loaded {
@@ -283,8 +274,8 @@ func main() {
 
 	// Replay at fixed concurrency: one shared index, per-client
 	// latency logs, merged afterwards. Latencies cover 200s only —
-	// shed and degraded responses return in microseconds and would
-	// fraudulently flatter the quantiles.
+	// shed responses return in microseconds and would fraudulently
+	// flatter the quantiles.
 	var next atomic.Int64
 	var completed atomic.Int64
 	var reloadOnce sync.Once
@@ -331,7 +322,7 @@ func main() {
 					log.Printf("zenload: %s: read: %v", q.kind, err)
 					continue
 				}
-				classify(&t, q, resp, data, time.Since(t0), &mine, *chaosOn)
+				classify(&t, q, resp, data, time.Since(t0), &mine)
 				if n := completed.Add(1); *reloadAt > 0 && n >= *reloadAt {
 					reloadOnce.Do(func() {
 						if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
@@ -361,28 +352,21 @@ func main() {
 	fmt.Printf("zenload: %d requests, %d clients (%d slow), %d distinct experiments over mapping %q\n",
 		len(stream), *clients, *slowClients, len(exps), target)
 	fmt.Printf("zenload: wall %.2fs, %.0f req/s\n", wall.Seconds(), float64(len(stream))/wall.Seconds())
-	fmt.Printf("zenload: %d ok, %d shed, %d degraded, %d timeout, %d canceled, %d panicked, %d failures\n",
-		t.ok.Load(), t.shed.Load(), t.degraded.Load(), t.timeout.Load(),
-		t.canceled.Load(), t.panicked.Load(), t.failures.Load())
+	fmt.Printf("zenload: %d ok, %d shed, %d timeout, %d canceled, %d failures\n",
+		t.ok.Load(), t.shed.Load(), t.timeout.Load(), t.canceled.Load(), t.failures.Load())
 	fmt.Printf("zenload: latency (200s only) p50 %s  p90 %s  p99 %s  max %s\n", q(0.50), q(0.90), q(0.99), q(1.0))
 	if *verify {
 		fmt.Printf("zenload: %d predictions verified bit-identical to the batch evaluator\n", t.verified.Load())
 	}
-	if faults != nil {
-		fmt.Printf("zenload: %s\n", faults.Ledger())
-	}
 
-	// Pull the daemon's own counters for the report and the soak
-	// assertions below.
-	var st serve.StatsResponse
-	haveStats := false
+	// Pull the daemon's own counters for the report.
 	if resp, err := client.Get(base + "/v1/stats"); err == nil {
+		var st serve.StatsResponse
 		if json.NewDecoder(resp.Body).Decode(&st) == nil {
-			haveStats = true
 			for _, ms := range st.Mappings {
 				if ms.Name == target {
-					fmt.Printf("zenload: server: %d evaluations, %d cache hits, %d pool compiles, generation %d, breaker %s\n",
-						ms.Evaluations, ms.Cache.Hits, ms.PoolCompiles, ms.Generation, ms.Breaker.State)
+					fmt.Printf("zenload: server: %d evaluations, %d cache hits, %d pool compiles, generation %d\n",
+						ms.Evaluations, ms.Cache.Hits, ms.PoolCompiles, ms.Generation)
 				}
 			}
 			fmt.Printf("zenload: server: %d shed (gate hw %d), %d panics recovered, %d deadline expiries, %d reloads\n",
@@ -401,14 +385,6 @@ func main() {
 	if *overload && t.shed.Load() == 0 {
 		log.Fatal("zenload: -overload set but nothing was shed (gate never saturated)")
 	}
-	if *chaosOn {
-		if faults.Ledger().Panics == 0 {
-			log.Fatal("zenload: -chaos set but no panic was injected (stream too short to reach PanicAt?)")
-		}
-		if !haveStats || st.PanicsRecovered == 0 {
-			log.Fatal("zenload: -chaos injected a panic but the daemon recovered none")
-		}
-	}
 	if *reloadAt > 0 {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -425,9 +401,9 @@ func main() {
 }
 
 // classify buckets one response by status, recording latency and
-// verifying bit-identity for 200s and demanding Retry-After on
-// shed/degraded responses.
-func classify(t *tally, q query, resp *http.Response, data []byte, lat time.Duration, mine *[]time.Duration, chaosOn bool) {
+// verifying bit-identity for 200s and demanding Retry-After on shed
+// responses.
+func classify(t *tally, q query, resp *http.Response, data []byte, lat time.Duration, mine *[]time.Duration) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		t.ok.Add(1)
@@ -454,23 +430,10 @@ func classify(t *tally, q query, resp *http.Response, data []byte, lat time.Dura
 			t.failures.Add(1)
 			log.Printf("zenload: shed response missing Retry-After")
 		}
-	case http.StatusServiceUnavailable:
-		t.degraded.Add(1)
-		if resp.Header.Get("Retry-After") == "" {
-			t.failures.Add(1)
-			log.Printf("zenload: degraded response missing Retry-After")
-		}
 	case http.StatusGatewayTimeout:
 		t.timeout.Add(1)
 	case serve.StatusClientClosedRequest:
 		t.canceled.Add(1)
-	case http.StatusInternalServerError:
-		if chaosOn && bytes.Contains(data, []byte("panic")) {
-			t.panicked.Add(1)
-			return
-		}
-		t.failures.Add(1)
-		log.Printf("zenload: %s: status %d: %s", q.kind, resp.StatusCode, data)
 	default:
 		t.failures.Add(1)
 		log.Printf("zenload: %s: status %d: %s", q.kind, resp.StatusCode, data)

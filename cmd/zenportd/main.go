@@ -26,11 +26,10 @@
 // The daemon is overload-safe (see internal/serve): evaluator work
 // runs behind a bounded-concurrency, bounded-queue admission gate
 // (-max-concurrent, -max-queue, -queue-timeout; excess load is shed
-// with 429 + Retry-After), every request carries a deadline budget
-// (-deadline default, -max-deadline cap on the X-Zenport-Deadline
-// header), handler panics are recovered and counted instead of
-// killing the process, and a per-mapping breaker degrades a failing
-// mapping to cache-only 503s (-breaker-threshold, -breaker-cooldown).
+// with 429 + Retry-After, and -queue-timeout is the one bound on how
+// long a request waits), a client may shorten its own wait with the
+// X-Zenport-Deadline header, and handler and evaluator panics are
+// recovered and counted instead of killing the process.
 //
 // SIGHUP re-reads every -mapping file and hot-reloads it with
 // validate-then-atomic-swap semantics: a mapping that fails
@@ -103,13 +102,7 @@ func run() error {
 	maxConcurrent := flag.Int("max-concurrent", serve.DefaultMaxConcurrent, "concurrent evaluator work bound")
 	maxQueue := flag.Int("max-queue", serve.DefaultMaxQueue, "admission queue depth (<0 = no queue, shed immediately)")
 	queueTimeout := flag.Duration("queue-timeout", serve.DefaultQueueTimeout, "shed requests queued longer than this")
-	retryAfter := flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint on shed/degraded responses")
-	deadline := flag.Duration("deadline", 2*time.Second, "default per-request evaluation budget (0 = none)")
-	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on the X-Zenport-Deadline request header (0 = no cap)")
-	breakerThreshold := flag.Int("breaker-threshold", serve.DefaultBreakerThreshold,
-		"consecutive evaluator failures that degrade a mapping to cache-only (<0 = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", serve.DefaultBreakerCooldown,
-		"open-breaker cooldown before the half-open recovery probe")
+	retryAfter := flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint on shed responses")
 	flag.Var(&mappings, "mapping", "name=path of a mapping JSON to load (repeatable)")
 	flag.Parse()
 
@@ -120,8 +113,7 @@ func run() error {
 	cfg := serve.Config{
 		Rmax: *rmax, CacheSize: *cacheSize, MaxBodyBytes: *maxBody,
 		MaxConcurrent: *maxConcurrent, MaxQueue: *maxQueue, QueueTimeout: *queueTimeout,
-		RetryAfter: *retryAfter, DefaultDeadline: *deadline, MaxDeadline: *maxDeadline,
-		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
+		RetryAfter: *retryAfter,
 	}
 	if !*quiet {
 		cfg.Log = log.Printf

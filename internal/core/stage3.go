@@ -21,10 +21,7 @@ import (
 // Zen+) are isolated and excluded, together with all schemes sharing
 // their mnemonic.
 func (p *Pipeline) stage3(ctx context.Context, rep *Report) error {
-	inst, err := p.buildSMTInstance(rep)
-	if err != nil {
-		return err
-	}
+	inst := p.buildSMTInstance(rep)
 	if rep.Supervision == nil {
 		rep.Supervision = &SupervisionSummary{}
 	}
@@ -224,8 +221,11 @@ func (p *Pipeline) degradeStage3(rep *Report, inst *smt.Instance, lastGood *port
 
 // buildSMTInstance assembles the CEGAR solver instance over the
 // blocking classes plus the manually added improper blockers (§4.3,
-// "We augment the SMT formulas such that...").
-func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
+// "We augment the SMT formulas such that..."). An improper blocker
+// that stage 1 did not measure (a scheme list cut short by
+// -max-schemes) is left out of the instance, and stage 4 goes on
+// without it.
+func (p *Pipeline) buildSMTInstance(rep *Report) *smt.Instance {
 	inst := &smt.Instance{
 		NumPorts: p.H.P.NumPorts(),
 		Rmax:     p.H.P.Rmax(),
@@ -239,14 +239,15 @@ func (p *Pipeline) buildSMTInstance(rep *Report) (*smt.Instance, error) {
 	// port set.
 	for _, key := range improperBlockers {
 		if _, ok := rep.Info[key]; !ok {
-			return nil, fmt.Errorf("improper blocker %q was not measured in stage 1", key)
+			p.logf("stage 3: improper blocker %q was not measured in stage 1; leaving it out", key)
+			continue
 		}
 		inst.Uops = append(inst.Uops,
 			smt.UopSpec{Key: key, NumPorts: 0},
 			smt.UopSpec{Key: key, TiedToBlocker: true},
 		)
 	}
-	return inst, nil
+	return inst
 }
 
 // finishStage3 stores the blocker mapping and back-fills the inferred

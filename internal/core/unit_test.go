@@ -135,6 +135,31 @@ func TestImproperOwnPorts(t *testing.T) {
 	}
 }
 
+// TestSMTInstanceSkipsUnmeasuredImproper: a scheme list cut short can
+// leave an improper blocker unmeasured in stage 1. The instance then
+// leaves that blocker out instead of failing, and keeps the measured
+// one with its two µops.
+func TestSMTInstanceSkipsUnmeasuredImproper(t *testing.T) {
+	p, _ := newZenPipeline(t, nil, 1)
+	rep := &Report{
+		Classes: []BlockClass{{Rep: "alu", PortCount: 4}},
+		Info:    map[string]*SchemeInfo{improperBlockers[1]: {}},
+	}
+	inst := p.buildSMTInstance(rep)
+	var improper []string
+	for _, u := range inst.Uops {
+		if u.Key == improperBlockers[0] {
+			t.Fatalf("unmeasured improper blocker %q is in the instance: %+v", u.Key, inst.Uops)
+		}
+		if u.Key != "alu" {
+			improper = append(improper, u.Key)
+		}
+	}
+	if want := []string{improperBlockers[1], improperBlockers[1]}; !reflect.DeepEqual(improper, want) {
+		t.Fatalf("improper µops = %v, want %v", improper, want)
+	}
+}
+
 // TestOptionsAnswerKeyCoversEveryField: every Options field either
 // changes answerKey, so a checkpoint written under another value is
 // not resumed from, or sits on the answer-neutral list with its

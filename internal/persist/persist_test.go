@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"zenport/internal/engine"
@@ -507,13 +508,14 @@ func TestParseCanonicalKey(t *testing.T) {
 }
 
 // countingProc is a minimal deterministic processor for store↔engine
-// integration tests.
+// integration tests. The engine calls Execute from several workers, so
+// the count is atomic.
 type countingProc struct {
-	executions int
+	executions atomic.Int64
 }
 
 func (p *countingProc) Execute(kernel []string, iterations int) (engine.Counters, error) {
-	p.executions++
+	p.executions.Add(1)
 	return engine.Counters{
 		Cycles:       float64(len(kernel) * iterations),
 		Instructions: uint64(len(kernel) * iterations),
@@ -543,7 +545,7 @@ func TestStoreEngineIntegration(t *testing.T) {
 	if _, err := eng.MeasureBatch(context.Background(), exps); err != nil {
 		t.Fatal(err)
 	}
-	if proc.executions == 0 {
+	if proc.executions.Load() == 0 {
 		t.Fatal("first engine executed nothing")
 	}
 	if err := s.Close(); err != nil {
@@ -563,8 +565,8 @@ func TestStoreEngineIntegration(t *testing.T) {
 	if _, err := eng2.MeasureBatch(context.Background(), exps); err != nil {
 		t.Fatal(err)
 	}
-	if proc2.executions != 0 {
-		t.Errorf("second engine executed %d kernels, want 0 (warm from disk)", proc2.executions)
+	if proc2.executions.Load() != 0 {
+		t.Errorf("second engine executed %d kernels, want 0 (warm from disk)", proc2.executions.Load())
 	}
 	m := eng2.Metrics()
 	if m.CacheHits != uint64(len(exps)) {
@@ -589,7 +591,7 @@ func TestStoreEngineIntegration(t *testing.T) {
 	if _, err := eng3.MeasureBatch(context.Background(), exps); err != nil {
 		t.Fatal(err)
 	}
-	if proc3.executions == 0 {
+	if proc3.executions.Load() == 0 {
 		t.Error("engine under a new fingerprint reused stale measurements")
 	}
 }
@@ -640,7 +642,7 @@ func TestStoreGenerations(t *testing.T) {
 		}
 	}
 	// Generations 0 and 1 are on disk; generation 2 is new.
-	if proc2.executions == 0 {
+	if proc2.executions.Load() == 0 {
 		t.Error("generation 2 did not execute")
 	}
 	if got := eng2.Metrics().CacheHits; got != 2 {
@@ -714,7 +716,7 @@ type cancelingBatchProc struct {
 }
 
 func (p *cancelingBatchProc) Execute(kernel []string, iterations int) (engine.Counters, error) {
-	if p.executions+1 >= p.after && p.cancel != nil {
+	if p.executions.Load()+1 >= int64(p.after) && p.cancel != nil {
 		p.cancel()
 	}
 	return p.countingProc.Execute(kernel, iterations)
@@ -753,7 +755,7 @@ func TestStoreCancellationMidBatchRecovers(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
-	done := proc.executions / engine.Reps
+	done := int(proc.executions.Load()) / engine.Reps
 	if done == 0 {
 		t.Fatal("cancellation fired before any experiment completed")
 	}
@@ -782,7 +784,7 @@ func TestStoreCancellationMidBatchRecovers(t *testing.T) {
 	if int(m.CacheHits) < done {
 		t.Fatalf("recovered run: %d cache hits, want at least the %d completed before cancellation", m.CacheHits, done)
 	}
-	if proc2.executions >= len(exps)*engine.Reps {
-		t.Fatalf("recovered run re-executed everything (%d executions): journal was not recovered", proc2.executions)
+	if proc2.executions.Load() >= int64(len(exps)*engine.Reps) {
+		t.Fatalf("recovered run re-executed everything (%d executions): journal was not recovered", proc2.executions.Load())
 	}
 }

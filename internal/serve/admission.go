@@ -16,8 +16,8 @@ import (
 // every connection (a stable JSON error the client can back off on)
 // rather than accumulating goroutines until the process dies. Cache
 // hits never touch the gate: only evaluator work is admission-
-// controlled, so a degraded or saturated daemon still answers its hot
-// set at full speed.
+// controlled, so a saturated daemon still answers its hot set at full
+// speed.
 
 // Gate sentinel errors, converted to their stable HTTP errors by the
 // server (the gate itself is transport-agnostic).

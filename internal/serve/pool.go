@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +35,7 @@ type evalPool struct {
 // for it that keeps up to max idle evaluators.
 func newEvalPool(m *portmodel.Mapping, max int) (*evalPool, error) {
 	p := &evalPool{m: m, max: max}
-	c, err := p.get(context.Background())
+	c, err := p.get()
 	if err != nil {
 		return nil, err
 	}
@@ -46,13 +45,8 @@ func newEvalPool(m *portmodel.Mapping, max int) (*evalPool, error) {
 
 // get returns an exclusive evaluator, compiling a fresh one when the
 // free list is empty (startup, or more requests in flight than ever
-// before). A context that already ended returns its error instead: a
-// request whose deadline expired while queued must not check out an
-// evaluator it will never use.
-func (p *evalPool) get(ctx context.Context) (*portmodel.Compiled, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// before).
+func (p *evalPool) get() (*portmodel.Compiled, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		c := p.free[n-1]

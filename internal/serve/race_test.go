@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -80,7 +79,7 @@ func TestEvalPoolConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				idx := rng.Intn(distinct)
-				ev, err := pool.get(context.Background())
+				ev, err := pool.get()
 				if err != nil {
 					errs <- err
 					return

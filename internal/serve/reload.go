@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -14,12 +13,12 @@ import (
 	"zenport/internal/portmodel"
 )
 
-// Hot mapping reload: a long-running daemon must pick up a re-merged
-// campaign mapping (zeninfer -merge after a re-inference refresh)
-// without a restart and without ever serving from a half-swapped
-// state. The protocol is validate-then-atomic-swap:
+// Hot mapping reload: a long-running daemon must pick up a rewritten
+// mapping file (a fresh zeninfer run) without a restart and without
+// ever serving from a half-swapped state. The protocol is
+// validate-then-atomic-swap:
 //
-//  1. the new handle — mapping, evaluator pool, breaker — is built
+//  1. the new handle — mapping, evaluator pool, LRU — is built
 //     completely off to the side; the serving state is untouched;
 //  2. the new handle is smoke-checked: a pinned probe experiment is
 //     evaluated on a pooled evaluator and compared bit-identical to
@@ -106,7 +105,6 @@ func (s *Server) buildHandle(name string, m *portmodel.Mapping, gen uint64, old 
 		keys:        m.Keys(),
 		pool:        pool,
 		cache:       newLRU[portmodel.Evaluation](s.cfg.CacheSize),
-		breaker:     newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown, nil),
 	}
 	if old != nil && old.fingerprint == h.fingerprint {
 		// Identical bits: the previous generation's predictions are
@@ -147,7 +145,7 @@ func (h *handle) smokeCheck(rmax float64) (err error) {
 		return nil
 	}
 	probe := portmodel.Experiment{h.keys[0]: 1}
-	ev, err := h.pool.get(context.Background())
+	ev, err := h.pool.get()
 	if err != nil {
 		return err
 	}
@@ -251,13 +249,4 @@ func isLoopback(remoteAddr string) bool {
 	}
 	ip := net.ParseIP(host)
 	return ip != nil && ip.IsLoopback()
-}
-
-// ReloadGeneration reports the serving generation of a mapping, for
-// load drivers that assert a reload landed (0 if not loaded).
-func (s *Server) ReloadGeneration(name string) uint64 {
-	if h := s.state().mappings[name]; h != nil {
-		return h.generation
-	}
-	return 0
 }

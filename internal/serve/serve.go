@@ -12,7 +12,7 @@
 //   - structural diffs between two loaded mappings (GET/POST
 //     /v1/diff), e.g. two inference runs or two machine generations.
 //
-// The serving hot path is one LRU probe, then at most one guarded
+// The serving hot path is one LRU probe, then at most one gated
 // evaluation:
 //
 //   - a bounded per-mapping LRU over canonical experiment keys (the
@@ -27,27 +27,21 @@
 // Concurrent identical misses are not coalesced: one evaluation takes
 // a few microseconds, and a load replay coalesced none of 300,000.
 //
-// Around that hot path sit the overload-safety mechanisms a
-// long-running public daemon needs (see admission.go, breaker.go,
-// reload.go):
+// An evaluation of input that experimentOf accepted cannot fail and
+// takes microseconds, so the only wait worth bounding is the admission
+// queue. Around the hot path sit (see admission.go, reload.go):
 //
 //   - admission control: evaluator work runs behind a bounded-
-//     concurrency, bounded-queue gate; beyond the bounds requests are
-//     shed with 429 + Retry-After instead of queuing unboundedly
-//     (cache hits bypass the gate entirely);
-//   - deadline propagation: each request gets a budget (server
-//     default, capped per-request via the X-Zenport-Deadline header)
-//     threaded as a context through the gate and the evaluator
-//     checkout, so a timed-out request frees its evaluator instead of
-//     computing a prediction nobody will read;
-//     server deadlines answer 504, client disconnects 499;
+//     concurrency, bounded-queue gate; a request that finds the queue
+//     full, or waits in it past QueueTimeout, is shed with 429 +
+//     Retry-After instead of queuing unboundedly (cache hits bypass
+//     the gate entirely);
+//   - the request context: a client may shorten its own wait with the
+//     X-Zenport-Deadline header and gets 504 when that deadline passes
+//     in the queue; a client that disconnects gets 499;
 //   - panic isolation: a per-request recover converts any handler or
 //     evaluator panic into a 500 + counter instead of killing the
 //     daemon, and a panicked evaluator is discarded, never re-pooled;
-//   - a per-mapping circuit breaker that degrades a misbehaving
-//     mapping to cache-only serving (hits answered, misses 503 +
-//     Retry-After) after K consecutive evaluator failures, with
-//     probed half-open recovery;
 //   - hot mapping reload with validate-then-atomic-swap semantics
 //     (Server.Reload, POST /admin/reload loopback-only, SIGHUP in
 //     cmd/zenportd).
@@ -84,25 +78,17 @@ const (
 	DefaultMaxQueue = 256
 	// DefaultQueueTimeout sheds requests queued longer than this.
 	DefaultQueueTimeout = 100 * time.Millisecond
-	// DefaultRetryAfter is the Retry-After hint on shed and degraded
-	// responses.
+	// DefaultRetryAfter is the Retry-After hint on shed responses.
 	DefaultRetryAfter = time.Second
-	// DefaultBreakerThreshold is K, the consecutive evaluator failures
-	// that trip a mapping into cache-only degraded serving.
-	DefaultBreakerThreshold = 8
-	// DefaultBreakerCooldown is how long a tripped breaker stays open
-	// before the half-open probe.
-	DefaultBreakerCooldown = 5 * time.Second
 )
 
 // StatusClientClosedRequest is the nginx-convention 499 status the
 // server records when the client disconnected before the response —
-// distinct from 504, which is the server's own deadline.
+// distinct from 504, which is the client's own deadline header.
 const StatusClientClosedRequest = 499
 
 // DeadlineHeader is the request header carrying the client's deadline
-// budget as a Go duration string ("250ms"); it is capped by
-// Config.MaxDeadline.
+// budget as a Go duration string ("250ms").
 const DeadlineHeader = "X-Zenport-Deadline"
 
 // Config tunes a Server. The zero value serves with the defaults
@@ -125,28 +111,9 @@ type Config struct {
 	// QueueTimeout sheds requests queued longer than this
 	// (0 = default 100ms).
 	QueueTimeout time.Duration
-	// RetryAfter is the Retry-After hint on 429/503 responses
+	// RetryAfter is the Retry-After hint on 429 responses
 	// (0 = default 1s).
 	RetryAfter time.Duration
-	// DefaultDeadline is the per-request evaluation budget applied
-	// when the client sends no X-Zenport-Deadline header (0 = none).
-	DefaultDeadline time.Duration
-	// MaxDeadline caps the client-requested deadline header
-	// (0 = no cap).
-	MaxDeadline time.Duration
-	// BreakerThreshold is the consecutive evaluator failures that trip
-	// a mapping into cache-only degraded serving (0 = default 8,
-	// negative = breaker disabled).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state cooldown before a half-open
-	// probe (0 = default 5s).
-	BreakerCooldown time.Duration
-	// EvalHook, if non-nil, runs at the start of every pooled
-	// evaluation with the request context and canonical experiment
-	// key. It is the chaos/testing seam: a hook may stall (honoring
-	// ctx), return an error, or panic — the serving layer must absorb
-	// all three. Production servers leave it nil.
-	EvalHook func(ctx context.Context, key string) error
 	// Log, if non-nil, receives one-line request notices.
 	Log func(format string, args ...any)
 }
@@ -172,6 +139,10 @@ type Server struct {
 	canceled  atomic.Uint64
 	deadlines atomic.Uint64
 	reloads   atomic.Uint64
+
+	// evalHook, if non-nil, runs inside every pooled evaluation's
+	// recover. Only tests set it, to make an evaluation stall or panic.
+	evalHook func()
 }
 
 // svcState is one immutable snapshot of the loaded mappings. Reloads
@@ -196,7 +167,6 @@ type handle struct {
 	keys        []string // sorted scheme keys, the suggestion universe
 	pool        *evalPool
 	cache       *lruCache[portmodel.Evaluation]
-	breaker     *breaker
 
 	evals atomic.Uint64 // pool evaluations (cache misses)
 }
@@ -220,12 +190,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
 	s.gate = newGate(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout)
@@ -317,17 +281,10 @@ func (s *Server) shedError(err error) error {
 	return err
 }
 
-// degradedError is the cache-only refusal of a tripped breaker.
-func (h *handle) degradedError() error {
-	return &httpError{status: http.StatusServiceUnavailable,
-		msg:        fmt.Sprintf("serve: mapping %q degraded: evaluator breaker open, serving cache only", h.name),
-		retryAfter: h.s.retryAfterSeconds()}
-}
-
 // writeError emits the JSON error envelope. Context errors are
-// classified: the server's own deadline answers 504 Gateway Timeout,
-// a client disconnect answers the 499 convention — the distinction
-// operators need when a latency alarm fires.
+// classified: the client's deadline header answers 504 Gateway
+// Timeout, a client disconnect answers the 499 convention — the
+// distinction operators need when a latency alarm fires.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.errs.Add(1)
 	he := &httpError{status: http.StatusInternalServerError, msg: "serve: internal error: " + err.Error()}
@@ -404,27 +361,20 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// requestContext derives the request's evaluation budget: the server
-// default, overridden per-request by the X-Zenport-Deadline header
-// (capped at MaxDeadline). The returned context is also canceled when
-// the client disconnects, which is what lets a dead request free its
-// evaluator slot.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	budget := s.cfg.DefaultDeadline
-	if hv := r.Header.Get(DeadlineHeader); hv != "" {
-		d, err := time.ParseDuration(hv)
-		if err != nil || d <= 0 {
-			return nil, nil, errf(http.StatusBadRequest, "serve: invalid %s %q", DeadlineHeader, hv)
-		}
-		if s.cfg.MaxDeadline > 0 && d > s.cfg.MaxDeadline {
-			d = s.cfg.MaxDeadline
-		}
-		budget = d
-	}
-	if budget <= 0 {
+// requestContext derives the request's context: the client's own
+// X-Zenport-Deadline budget when it sends one. The context is also
+// canceled when the client disconnects, which is what lets a dead
+// request leave the admission queue.
+func requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+	hv := r.Header.Get(DeadlineHeader)
+	if hv == "" {
 		return r.Context(), func() {}, nil
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	d, err := time.ParseDuration(hv)
+	if err != nil || d <= 0 {
+		return nil, nil, errf(http.StatusBadRequest, "serve: invalid %s %q", DeadlineHeader, hv)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
 }
 
@@ -473,10 +423,9 @@ func ParseKernel(sr string) (portmodel.Experiment, error) {
 
 // experimentOf resolves the kernel-or-experiment pair of a request
 // body into a validated experiment over the handle's mapping. Every
-// input error is a 400 here, before the breaker and the gate, so bad
-// input never counts as an evaluator failure. Counts are checked after
-// ParseKernel has summed repeated terms; the evaluator's weights are
-// int32.
+// input error is a 400 here, before the gate, and the evaluator cannot
+// fail on what this accepts. Counts are checked after ParseKernel has
+// summed repeated terms; the evaluator's weights are int32.
 func (h *handle) experimentOf(kernel string, exp map[string]int) (portmodel.Experiment, error) {
 	if kernel != "" && len(exp) > 0 {
 		return nil, errf(http.StatusBadRequest, "serve: specify either kernel or experiment, not both")
@@ -514,15 +463,14 @@ func (h *handle) experimentOf(kernel string, exp map[string]int) (portmodel.Expe
 	return e, nil
 }
 
-// predict resolves an experiment through the LRU, then the breaker,
-// admission gate and evaluator pool, and reports whether the answer
-// was an LRU hit. The canonical key — engine.CanonicalKey, the same
-// identity the measurement cache uses — collapses permutations of the
-// same multiset, so "add;mul" and "mul;add" share one cache entry.
-// Cache hits bypass breaker and gate entirely: a degraded or saturated
-// mapping still answers its hot set, and so does a request whose
-// context has already ended, which never takes a breaker probe, a gate
-// slot or an evaluator.
+// predict resolves an experiment through the LRU, then the admission
+// gate and evaluator pool, and reports whether the answer was an LRU
+// hit. The canonical key — engine.CanonicalKey, the same identity the
+// measurement cache uses — collapses permutations of the same
+// multiset, so "add;mul" and "mul;add" share one cache entry. Cache
+// hits bypass the gate entirely: a saturated daemon still answers its
+// hot set, and so does a request whose context has already ended,
+// which never takes a gate slot or an evaluator.
 func (h *handle) predict(ctx context.Context, e portmodel.Experiment) (portmodel.Evaluation, bool, error) {
 	key := engine.CanonicalKey(e)
 	if p, ok := h.cache.get(key); ok {
@@ -531,48 +479,26 @@ func (h *handle) predict(ctx context.Context, e portmodel.Experiment) (portmodel
 	if err := ctx.Err(); err != nil {
 		return portmodel.Evaluation{}, false, err
 	}
-	p, err := h.evaluateGuarded(ctx, key, e)
+	if err := h.s.gate.acquire(ctx); err != nil {
+		return portmodel.Evaluation{}, false, h.s.shedError(err)
+	}
+	p, err := h.evaluate(e)
+	h.s.gate.release()
 	if err == nil {
 		h.cache.add(key, p)
 	}
 	return p, false, err
 }
 
-// evaluateGuarded runs one pool evaluation behind the breaker and the
-// admission gate, reporting the outcome back to the breaker. Context
-// ends (deadline, disconnect) and shed requests are breaker aborts,
-// not failures: they say nothing about evaluator health.
-func (h *handle) evaluateGuarded(ctx context.Context, key string, e portmodel.Experiment) (portmodel.Evaluation, error) {
-	probe, ok := h.breaker.allow()
-	if !ok {
-		return portmodel.Evaluation{}, h.degradedError()
-	}
-	if err := h.s.gate.acquire(ctx); err != nil {
-		h.breaker.abort(probe)
-		return portmodel.Evaluation{}, h.s.shedError(err)
-	}
-	defer h.s.gate.release()
-	p, err := h.evaluate(ctx, key, e)
-	switch {
-	case err == nil:
-		h.breaker.success(probe)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		h.breaker.abort(probe)
-	default:
-		h.breaker.failure(probe)
-	}
-	return p, err
-}
-
 // evaluate evaluates an experiment once on an exclusive pooled
 // evaluator under panic isolation: a panicking evaluation answers an
 // error and the evaluator is discarded (its scratch state is
-// suspect), while clean paths — including hook errors — return it to
-// the pool. The evaluation is a pure function of (mapping,
-// experiment), so cache sharing cannot change any served value;
-// handlers derive the rmax-bounded values from it.
-func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experiment) (p portmodel.Evaluation, err error) {
-	ev, err := h.pool.get(ctx)
+// suspect), while a clean evaluation returns it to the pool. The
+// evaluation is a pure function of (mapping, experiment), so cache
+// sharing cannot change any served value; handlers derive the
+// rmax-bounded values from it.
+func (h *handle) evaluate(e portmodel.Experiment) (p portmodel.Evaluation, err error) {
+	ev, err := h.pool.get()
 	if err != nil {
 		return portmodel.Evaluation{}, err
 	}
@@ -587,10 +513,8 @@ func (h *handle) evaluate(ctx context.Context, key string, e portmodel.Experimen
 		}
 		h.pool.put(ev)
 	}()
-	if hook := h.s.cfg.EvalHook; hook != nil {
-		if herr := hook(ctx, key); herr != nil {
-			return portmodel.Evaluation{}, herr
-		}
+	if h.s.evalHook != nil {
+		h.s.evalHook()
 	}
 	h.evals.Add(1)
 	return ev.Evaluate(e)
@@ -719,11 +643,10 @@ type MappingStats struct {
 	// Coalesced is always 0: serving no longer coalesces identical
 	// misses. The field stays because the benchmark harness reads it
 	// from this struct; it goes with the next change to the benchmark.
-	Coalesced    uint64       `json:"coalesced"`
-	PoolCompiles uint64       `json:"pool_compiles"`
-	Generation   uint64       `json:"generation"`
-	Fingerprint  string       `json:"fingerprint"`
-	Breaker      BreakerStats `json:"breaker"`
+	Coalesced    uint64 `json:"coalesced"`
+	PoolCompiles uint64 `json:"pool_compiles"`
+	Generation   uint64 `json:"generation"`
+	Fingerprint  string `json:"fingerprint"`
 }
 
 // StatsResponse is the answer of GET /v1/stats.
@@ -769,7 +692,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := requestContext(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -824,7 +747,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ctx, cancel, err := s.requestContext(r)
+	ctx, cancel, err := requestContext(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -955,7 +878,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PoolCompiles: h.pool.compiles.Load(),
 			Generation:   h.generation,
 			Fingerprint:  h.fingerprint,
-			Breaker:      h.breaker.stats(),
 		})
 	}
 	s.writeJSON(w, out)

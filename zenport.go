@@ -142,7 +142,7 @@ type (
 	// mapping diffs. cmd/zenportd is a thin wrapper around it.
 	MappingServer = serve.Server
 	// MappingServerConfig tunes a MappingServer (rmax, prediction LRU
-	// size, request body cap, admission gate, deadlines, breaker).
+	// size, request body cap, admission gate, logging).
 	MappingServerConfig = serve.Config
 	// ReloadResult reports a completed hot mapping reload (generation,
 	// content fingerprint, whether the prediction cache was retained).
